@@ -129,22 +129,7 @@ func (s *System) Check(opts Options) Result {
 		}
 		return s.checkParallel(opts, w)
 	}
-	e := &scChecker{sys: s, opts: opts, visited: fp.NewSet(opts.ExactDedup), bestVFP: ^uint64(0)}
-	if opts.Reduce {
-		if opts.ExactDedup {
-			e.rmEx = make(map[string]uint64)
-		} else {
-			e.rm = make(map[uint64]uint64)
-		}
-	}
-	e.cStates = opts.Obs.Counter("sc.states")
-	e.cTransitions = opts.Obs.Counter("sc.transitions")
-	e.cDedupHits = opts.Obs.Counter("sc.dedup_hits")
-	e.cDedupMisses = opts.Obs.Counter("sc.dedup_misses")
-	e.cMacroSteps = opts.Obs.Counter("sc.macro_steps")
-	e.gMaxDepth = opts.Obs.Gauge("sc.max_depth")
-	e.gMaxContexts = opts.Obs.Gauge("sc.max_contexts_used")
-	e.stats = opts.Obs.Search()
+	e := newChecker(s, opts)
 	// The final flush lands the run's totals in the stats block, so the
 	// last telemetry sample matches the Result exactly. Stats accumulate
 	// across restart-ladder rounds like the counters do.
@@ -171,38 +156,89 @@ func (s *System) Check(opts Options) Result {
 		e.result.Exhausted = false
 		return e.result
 	}
-	for _, oc := range s.initClosure(s.Init()) {
+	for i, oc := range e.in.initClosure(s.Init()) {
 		if oc.violation {
+			e.in.release(oc.cfg)
 			e.result.Violation = true
 			e.result.Violations++
 			// Init-closure violations are scanned in a deterministic
 			// order, so "the first one" is a schedule-invariant witness;
 			// it outranks any search violation under the census.
-			if e.result.Trace == nil {
-				e.result.Trace = &trace.Trace{Events: oc.events}
+			if !e.initWitness && !e.hasWit {
 				e.initWitness = true
+				e.witRoot = i
 			}
 			if !e.opts.CensusViolations {
 				break
 			}
 			continue
 		}
-		e.path = append(e.path[:0], oc.events...)
-		if e.search(oc.cfg) {
+		if e.search(i, oc.cfg) {
 			break
 		}
 	}
 	e.result.Exhausted = e.exhausted && !e.result.TargetReached &&
 		!(e.result.Violation && !e.opts.CensusViolations)
+	e.result.Trace = e.witness()
 	return e.result
+}
+
+// newChecker builds a serial checker with its counters bound to
+// opts.Obs (nil-safe when Obs is nil).
+func newChecker(s *System, opts Options) *scChecker {
+	e := &scChecker{
+		sys:     s,
+		opts:    opts,
+		in:      &interp{sys: s, logAcc: opts.Reduce},
+		visited: fp.NewSet(opts.ExactDedup),
+		bestVFP: ^uint64(0),
+	}
+	if opts.Reduce {
+		if opts.ExactDedup {
+			e.rmEx = make(map[string]uint64)
+		} else {
+			e.rm = make(map[uint64]uint64)
+		}
+	}
+	e.cStates = opts.Obs.Counter("sc.states")
+	e.cTransitions = opts.Obs.Counter("sc.transitions")
+	e.cDedupHits = opts.Obs.Counter("sc.dedup_hits")
+	e.cDedupMisses = opts.Obs.Counter("sc.dedup_misses")
+	e.cMacroSteps = opts.Obs.Counter("sc.macro_steps")
+	e.gMaxDepth = opts.Obs.Gauge("sc.max_depth")
+	e.gMaxContexts = opts.Obs.Gauge("sc.max_contexts_used")
+	e.stats = opts.Obs.Search()
+	return e
+}
+
+// witness replays the recorded witness path, if any, into a trace.
+func (e *scChecker) witness() *trace.Trace {
+	switch {
+	case e.initWitness:
+		return e.sys.replayPath(e.witRoot, nil)
+	case e.hasWit:
+		return e.sys.replayPath(e.witRoot, e.witPath)
+	}
+	return nil
+}
+
+// setWitness records the current path, extended by step when it is
+// non-nil, as the witness to replay.
+func (e *scChecker) setWitness(step *pathStep) {
+	e.hasWit = true
+	e.witRoot = e.root
+	e.witPath = append(e.witPath[:0], e.path...)
+	if step != nil {
+		e.witPath = append(e.witPath, *step)
+	}
 }
 
 type scChecker struct {
 	sys       *System
 	opts      Options
+	in        *interp
 	ctx       context.Context // nil when the search has no deadline/cancel scope
 	visited   *fp.Set         // state key -> min contexts used
-	path      []trace.Event
 	keyBuf    []byte
 	deadBuf   []int // reused dead-register scratch for dedupKey
 	steps     int   // DFS entries, for cancellation sampling
@@ -210,8 +246,23 @@ type scChecker struct {
 	result    Result
 	exhausted bool
 
+	// The DFS: root indexes the initial closure, path holds the
+	// macro-steps from it to the state being expanded, kids is one
+	// stack of children shared by all frames and stack the frames.
+	root  int
+	path  []pathStep
+	kids  []scChild
+	stack []scFrame
+
+	// The witness, replayed into a trace when the search ends: the
+	// initial-closure index and path recorded by setWitness (hasWit),
+	// or an init-closure violation (initWitness, path empty).
+	witRoot int
+	witPath []pathStep
+	hasWit  bool
+
 	// bestVFP is the smallest violation fingerprint seen so far by the
-	// census; initWitness pins the trace to an init-closure violation,
+	// census; initWitness pins the witness to an init-closure violation,
 	// which outranks any search violation. directed/stopAtVFP turn the
 	// census into the parallel checker's witness-regeneration replay
 	// (see ra.regenWitness for the pattern).
@@ -278,85 +329,91 @@ func (e *scChecker) flushStats(depth int) {
 }
 
 // scChild is one accepted macro-step out of an expanded state: the
-// successor configuration, the events of the macro-step, and the
-// context count it is entered with. Violating macro-steps stop the
-// search during expansion and never become children.
+// successor configuration, the step that produced it, and the context
+// count it is entered with. Violating macro-steps stop the search
+// during expansion and never become children.
 type scChild struct {
 	cfg      *Config
-	events   []trace.Event
+	step     pathStep
 	contexts int
 	// sleep is the child's inherited sleep mask (reduced search only).
 	sleep uint64
 }
 
-// scFrame is one explicit-stack DFS frame.
+// scFrame is one explicit-stack DFS frame: its children are
+// kids[lo:hi], next is the first one not yet entered, and depth is the
+// frame's path length.
 type scFrame struct {
-	kids    []scChild
-	idx     int
-	depth   int
-	pathLen int
+	lo, next, hi int
+	depth        int
 }
 
-// search drives the DFS from one initial-closure state on an explicit
+// search drives the DFS from initial-closure state root on an explicit
 // stack; it returns true when the search should stop (violation/target
 // found, state cap hit, or deadline expired).
-func (e *scChecker) search(root *Config) bool {
-	kids, done := e.expandAny(root, 0, 0, 0)
-	if done {
+func (e *scChecker) search(root int, cfg *Config) bool {
+	e.root = root
+	e.path = e.path[:0]
+	e.kids = e.kids[:0]
+	if e.expandAny(cfg, 0, 0, 0) {
 		return true
 	}
-	if len(kids) == 0 {
+	if len(e.kids) == 0 {
 		return false
 	}
-	stack := make([]scFrame, 0, 64)
-	stack = append(stack, scFrame{kids: kids, pathLen: len(e.path)})
+	stack := append(e.stack[:0], scFrame{hi: len(e.kids)})
+	defer func() { e.stack = stack[:0] }()
 	for len(stack) > 0 {
 		f := &stack[len(stack)-1]
-		if f.idx == len(f.kids) {
-			e.path = e.path[:f.pathLen]
+		if f.next == f.hi {
+			e.kids = e.kids[:f.lo]
 			stack = stack[:len(stack)-1]
 			continue
 		}
-		k := f.kids[f.idx]
-		f.idx++
-		base := len(e.path)
-		e.path = append(e.path, k.events...)
-		kids, done := e.expandAny(k.cfg, k.contexts, f.depth+1, k.sleep)
-		if done {
+		k := e.kids[f.next]
+		f.next++
+		depth := f.depth + 1
+		e.path = append(e.path[:f.depth], k.step)
+		lo := len(e.kids)
+		if e.expandAny(k.cfg, k.contexts, depth, k.sleep) {
 			return true
 		}
-		if len(kids) == 0 {
-			e.path = e.path[:base]
-			continue
+		if len(e.kids) > lo {
+			// f is invalid after this append (the stack may move).
+			stack = append(stack, scFrame{lo: lo, next: lo, hi: len(e.kids), depth: depth})
 		}
-		// f is invalid after this append (the stack may move).
-		stack = append(stack, scFrame{kids: kids, depth: f.depth + 1, pathLen: base})
 	}
 	return false
 }
 
 // expandAny dispatches a node expansion to the reduced or unreduced
-// path; sleep is only meaningful under Options.Reduce.
-func (e *scChecker) expandAny(c *Config, contexts, depth int, sleep uint64) ([]scChild, bool) {
+// path, then parks the node's configuration: its children are all
+// built, and the witness is replayed from the path. sleep is only
+// meaningful under Options.Reduce.
+func (e *scChecker) expandAny(c *Config, contexts, depth int, sleep uint64) bool {
+	var done bool
 	if e.opts.Reduce {
-		return e.expandReduced(c, depth, sleep)
+		done = e.expandReduced(c, depth, sleep)
+	} else {
+		done = e.expand(c, contexts, depth)
 	}
-	return e.expand(c, contexts, depth)
+	e.in.release(c)
+	return done
 }
 
 // expand visits one state: dedup, counters, caps and target checks,
-// then the scan over its macro-steps. It returns the accepted children
-// (nil when the state is pruned or a leaf) and whether the search is
-// done. contexts counts completed+current scheduling blocks; depth
-// counts macro-steps on the current path.
-func (e *scChecker) expand(c *Config, contexts, depth int) ([]scChild, bool) {
+// then the scan over its macro-steps. It pushes the accepted children
+// onto e.kids and reports whether the search is done. contexts counts
+// completed+current scheduling blocks; depth counts macro-steps on the
+// current path.
+func (e *scChecker) expand(c *Config, contexts, depth int) bool {
 	e.steps++
 	if e.steps%deadlineStride == 0 {
 		e.flushStats(depth)
 		if e.ctx != nil && e.ctx.Err() != nil {
 			e.exhausted = false
 			e.result.TimedOut = true
-			return nil, true
+			return true
 		}
 	}
 	// Order-independent dedup (the serial/parallel parity discipline,
@@ -373,7 +430,7 @@ func (e *scChecker) expand(c *Config, contexts, depth int) ([]scChild, bool) {
 	if !e.visited.VisitHash(h, e.keyBuf, 0) {
 		e.dedupHits++
 		e.cDedupHits.Inc()
-		return nil, false
+		return false
 	}
 	e.result.States++
 	e.cStates.Inc()
@@ -382,34 +439,15 @@ func (e *scChecker) expand(c *Config, contexts, depth int) ([]scChild, bool) {
 	e.gMaxContexts.SetMax(int64(contexts))
 	if e.opts.MaxStates > 0 && e.result.States >= e.opts.MaxStates {
 		e.exhausted = false
-		return nil, true
+		return true
 	}
 	if e.targetReached(c) {
 		e.result.TargetReached = true
-		e.result.Trace = &trace.Trace{Events: append([]trace.Event(nil), e.path...)}
-		return nil, true
+		e.setWitness(nil)
+		return true
 	}
-	// Try the process holding the context first: near-serial schedules
-	// are explored before heavily preempted ones, so counterexamples
-	// that deviate from a serial run in few, late places (the typical
-	// shape of mutual-exclusion bugs) are found early.
-	order := make([]int, 0, len(e.sys.Prog.Procs))
-	if c.cur >= 0 {
-		order = append(order, c.cur)
-	}
-	n := len(e.sys.Prog.Procs)
-	for i := 0; i < n; i++ {
-		p := i
-		if e.opts.ReverseProcs {
-			p = n - 1 - i
-		}
-		if p != c.cur {
-			order = append(order, p)
-		}
-	}
-	var kids []scChild
 	ord := 0 // macro-step ordinal within this node, for MixOrdinal
-	for _, p := range order {
+	for _, p := range e.scanOrder(c) {
 		if e.sys.status(c, p) != statusReady {
 			continue
 		}
@@ -421,40 +459,48 @@ func (e *scChecker) expand(c *Config, contexts, depth int) ([]scChild, bool) {
 			}
 		}
 		e.cMacroSteps.Inc()
-		for _, oc := range e.sys.macroStep(c, p) {
+		for j, oc := range e.in.macroStep(c, p) {
 			vord := ord
 			ord++
 			e.result.Transitions++
 			e.cTransitions.Inc()
+			step := pathStep{int32(p), int32(j)}
 			if oc.violation {
-				e.result.Violation = true
-				e.result.Violations++
-				vfp := fp.MixOrdinal(h, vord)
-				switch {
-				case e.directed:
-					if vfp == e.stopAtVFP {
-						evs := append(append([]trace.Event(nil), e.path...), oc.events...)
-						e.result.Trace = &trace.Trace{Events: evs}
-						return nil, true
-					}
-				case !e.opts.CensusViolations:
-					evs := append(append([]trace.Event(nil), e.path...), oc.events...)
-					e.result.Trace = &trace.Trace{Events: evs}
-					return nil, true
-				case !e.initWitness && (e.result.Trace == nil || vfp < e.bestVFP):
-					// Census witness: minimal fingerprint wins, the
-					// schedule-independent tie-break shared with the
-					// parallel checker.
-					e.bestVFP = vfp
-					evs := append(append([]trace.Event(nil), e.path...), oc.events...)
-					e.result.Trace = &trace.Trace{Events: evs}
+				if e.violation(oc, step, fp.MixOrdinal(h, vord)) {
+					return true
 				}
 				continue
 			}
-			kids = append(kids, scChild{cfg: oc.cfg, events: oc.events, contexts: nc})
+			e.kids = append(e.kids, scChild{cfg: oc.cfg, step: step, contexts: nc})
 		}
 	}
-	return kids, false
+	return false
+}
+
+// violation accounts one violating macro-step with fingerprint vfp and
+// keeps its path as the witness where the mode asks for it; it reports
+// whether the search stops.
+func (e *scChecker) violation(oc outcome, step pathStep, vfp uint64) bool {
+	e.in.release(oc.cfg)
+	e.result.Violation = true
+	e.result.Violations++
+	switch {
+	case e.directed:
+		if vfp == e.stopAtVFP {
+			e.setWitness(&step)
+			return true
+		}
+	case !e.opts.CensusViolations:
+		e.setWitness(&step)
+		return true
+	case !e.initWitness && (!e.hasWit || vfp < e.bestVFP):
+		// Census witness: minimal fingerprint wins, the
+		// schedule-independent tie-break shared with the parallel
+		// checker.
+		e.bestVFP = vfp
+		e.setWitness(&step)
+	}
+	return false
 }
 
 func (e *scChecker) targetReached(c *Config) bool {

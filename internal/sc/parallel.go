@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,29 +33,29 @@ var errStopSearch = errors.New("sc: search stopped")
 // test injects a crash at the top of a parallel expansion.
 var testParallelExpandHook func(worker, depth int)
 
-// scPathNode is one link of a worker's path to a state; each link holds
-// the events of one macro-step (several trace events). Chains are
-// immutable and shared structurally between siblings.
+// scPathNode is one link of a worker's path to a state: the
+// macro-step that reached it from its parent. The root link holds the
+// initial-closure index in step.idx. Chains are immutable and shared
+// structurally between siblings.
 type scPathNode struct {
 	parent *scPathNode
-	events []trace.Event
+	step   pathStep
 }
 
-// toTrace materialises the chain root-first, appending extra events
-// (the violating macro-step's, which never becomes a frontier item).
-func (n *scPathNode) toTrace(extra []trace.Event) *trace.Trace {
-	total := len(extra)
-	for m := n; m != nil; m = m.parent {
-		total += len(m.events)
+// toTrace replays the chain root-first, extended by extra when it is
+// non-nil (the violating macro-step, which never becomes a frontier
+// item).
+func (n *scPathNode) toTrace(s *System, extra *pathStep) *trace.Trace {
+	var path []pathStep
+	if extra != nil {
+		path = append(path, *extra)
 	}
-	events := make([]trace.Event, total)
-	i := total - len(extra)
-	copy(events[i:], extra)
-	for m := n; m != nil; m = m.parent {
-		i -= len(m.events)
-		copy(events[i:i+len(m.events)], m.events)
+	m := n
+	for ; m.parent != nil; m = m.parent {
+		path = append(path, m.step)
 	}
-	return &trace.Trace{Events: events}
+	slices.Reverse(path)
+	return s.replayPath(int(m.step.idx), path)
 }
 
 // scItem is one frontier item of the parallel check.
@@ -84,10 +85,12 @@ type scParallel struct {
 	stopTrace     *trace.Trace
 	targetReached bool
 
-	// Per-worker reusable encode buffers: the zero-alloc encode+probe
-	// guarantee holds per worker.
-	bufs  [][]byte
-	deads [][]int
+	// Per-worker interpreters, encode buffers and scan orders: the
+	// zero-alloc encode+probe guarantee holds per worker.
+	interps []*interp
+	bufs    [][]byte
+	deads   [][]int
+	orders  [][]int
 
 	cStates, cTransitions    *obs.Counter
 	cDedupHits, cDedupMisses *obs.Counter
@@ -110,8 +113,13 @@ func (s *System) checkParallel(opts Options, workers int) Result {
 		sys:     s,
 		opts:    opts,
 		visited: fp.NewShardedSet(opts.ExactDedup),
+		interps: make([]*interp, workers),
 		bufs:    make([][]byte, workers),
 		deads:   make([][]int, workers),
+		orders:  make([][]int, workers),
+	}
+	for w := range p.interps {
+		p.interps[w] = &interp{sys: s}
 	}
 	p.bestVFP.Store(^uint64(0))
 	p.cStates = opts.Obs.Counter("sc.states")
@@ -146,12 +154,12 @@ func (s *System) checkParallel(opts Options, workers int) Result {
 	var res Result
 	var roots []scItem
 	initWitness := false
-	for _, oc := range s.initClosure(s.Init()) {
+	for i, oc := range (&interp{sys: s}).initClosure(s.Init()) {
 		if oc.violation {
 			res.Violation = true
 			res.Violations++
 			if res.Trace == nil {
-				res.Trace = &trace.Trace{Events: oc.events}
+				res.Trace = s.replayPath(i, nil)
 				initWitness = true
 			}
 			if !opts.CensusViolations {
@@ -161,7 +169,7 @@ func (s *System) checkParallel(opts Options, workers int) Result {
 		}
 		roots = append(roots, scItem{
 			cfg:  oc.cfg,
-			path: &scPathNode{events: oc.events},
+			path: &scPathNode{step: pathStep{idx: int32(i)}},
 		})
 	}
 
@@ -207,6 +215,9 @@ func (p *scParallel) expand(ctx context.Context, w int, it scItem, push func(scI
 	if p.steps.Add(1)%deadlineStride == 0 {
 		p.flush(f)
 	}
+	in := p.interps[w]
+	// Every child is built by the end of the expansion: park the item.
+	defer in.release(it.cfg)
 	buf, dead := p.sys.dedupKey(it.cfg, p.bufs[w][:0], p.deads[w])
 	if p.opts.MaxContexts > 0 {
 		buf = appendVal(buf, lang.Value(it.contexts))
@@ -231,28 +242,15 @@ func (p *scParallel) expand(ctx context.Context, w int, it scItem, push func(scI
 		p.stopMu.Lock()
 		if !p.targetReached {
 			p.targetReached = true
-			p.stopTrace = it.path.toTrace(nil)
+			p.stopTrace = it.path.toTrace(p.sys, nil)
 		}
 		p.stopMu.Unlock()
 		return errStopSearch
 	}
 	c := it.cfg
-	order := make([]int, 0, len(p.sys.Prog.Procs))
-	if c.cur >= 0 {
-		order = append(order, c.cur)
-	}
-	n := len(p.sys.Prog.Procs)
-	for i := 0; i < n; i++ {
-		proc := i
-		if p.opts.ReverseProcs {
-			proc = n - 1 - i
-		}
-		if proc != c.cur {
-			order = append(order, proc)
-		}
-	}
+	p.orders[w] = p.sys.scanOrder(p.orders[w], c, p.opts.ReverseProcs)
 	ord := 0
-	for _, proc := range order {
+	for _, proc := range p.orders[w] {
 		if p.sys.status(c, proc) != statusReady {
 			continue
 		}
@@ -264,17 +262,19 @@ func (p *scParallel) expand(ctx context.Context, w int, it scItem, push func(scI
 			}
 		}
 		p.cMacroSteps.Inc()
-		for _, oc := range p.sys.macroStep(c, proc) {
+		for j, oc := range in.macroStep(c, proc) {
 			vord := ord
 			ord++
 			p.transitions.Add(1)
 			p.cTransitions.Inc()
+			step := pathStep{int32(proc), int32(j)}
 			if oc.violation {
+				in.release(oc.cfg)
 				p.violations.Add(1)
 				if !p.opts.CensusViolations {
 					p.stopMu.Lock()
 					if p.stopTrace == nil {
-						p.stopTrace = it.path.toTrace(oc.events)
+						p.stopTrace = it.path.toTrace(p.sys, &step)
 					}
 					p.stopMu.Unlock()
 					return errStopSearch
@@ -284,7 +284,7 @@ func (p *scParallel) expand(ctx context.Context, w int, it scItem, push func(scI
 			}
 			push(scItem{
 				cfg:      oc.cfg,
-				path:     &scPathNode{parent: it.path, events: oc.events},
+				path:     &scPathNode{parent: it.path, step: step},
 				depth:    it.depth + 1,
 				contexts: nc,
 			})
@@ -344,33 +344,19 @@ func (s *System) regenWitness(opts Options, vfp uint64) *trace.Trace {
 	o.Deadline = time.Time{}
 	o.MaxStates = 0
 	o.Reduce = false
-	e := &scChecker{
-		sys:       s,
-		opts:      o,
-		visited:   fp.NewSet(o.ExactDedup),
-		bestVFP:   ^uint64(0),
-		directed:  true,
-		stopAtVFP: vfp,
-	}
-	e.cStates = o.Obs.Counter("sc.states")
-	e.cTransitions = o.Obs.Counter("sc.transitions")
-	e.cDedupHits = o.Obs.Counter("sc.dedup_hits")
-	e.cDedupMisses = o.Obs.Counter("sc.dedup_misses")
-	e.cMacroSteps = o.Obs.Counter("sc.macro_steps")
-	e.gMaxDepth = o.Obs.Gauge("sc.max_depth")
-	e.gMaxContexts = o.Obs.Gauge("sc.max_contexts_used")
-	e.stats = o.Obs.Search()
+	e := newChecker(s, o)
+	e.directed = true
+	e.stopAtVFP = vfp
 	e.exhausted = true
-	for _, oc := range s.initClosure(s.Init()) {
+	for i, oc := range e.in.initClosure(s.Init()) {
 		if oc.violation {
 			continue
 		}
-		e.path = append(e.path[:0], oc.events...)
-		if e.search(oc.cfg) {
+		if e.search(i, oc.cfg) {
 			break
 		}
 	}
-	return e.result.Trace
+	return e.witness()
 }
 
 // targetAt reports whether every process listed in targets is at its

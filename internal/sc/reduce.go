@@ -31,7 +31,6 @@ import (
 
 	"ravbmc/internal/fp"
 	"ravbmc/internal/lang"
-	"ravbmc/internal/trace"
 )
 
 // bitset is a fixed-width bit vector over shared locations (scalars
@@ -307,55 +306,28 @@ func (e *scChecker) persistentSet(c *Config) uint64 {
 	return inP & ready
 }
 
-// scanOrder returns the canonical process scan order at c: the context
-// holder first, then declaration (or reversed) order — identical to the
-// unreduced checker's bias towards near-serial schedules.
+// scanOrder returns the canonical process scan order at c in the
+// checker's reused buffer; see System.scanOrder.
 func (e *scChecker) scanOrder(c *Config) []int {
-	order := e.orderBuf[:0]
-	if c.cur >= 0 {
-		order = append(order, c.cur)
-	}
-	n := len(e.sys.Prog.Procs)
-	for i := 0; i < n; i++ {
-		p := i
-		if e.opts.ReverseProcs {
-			p = n - 1 - i
-		}
-		if p != c.cur {
-			order = append(order, p)
-		}
-	}
-	e.orderBuf = order
-	return order
+	e.orderBuf = e.sys.scanOrder(e.orderBuf, c, e.opts.ReverseProcs)
+	return e.orderBuf
 }
 
-// stepEventsFoot fills e.execFoot with the dynamic shared footprint of
-// one executed macro step, read off its trace events (precise per
-// nondeterministic branch, unlike the static tables).
-func (e *scChecker) stepEventsFoot(events []trace.Event) locFoot {
+// stepFoot fills e.execFoot with the dynamic shared footprint of one
+// executed macro step, read off the interpreter's access log (precise
+// per nondeterministic branch, unlike the static tables).
+func (e *scChecker) stepFoot(oc outcome) locFoot {
 	if e.execFoot.rd == nil {
 		e.execFoot = newLocFoot(e.sys.nLocs())
 	}
 	e.execFoot.rd.clear()
 	e.execFoot.wr.clear()
-	for i := range events {
-		ev := &events[i]
-		switch ev.Kind {
-		case trace.KindRead:
-			if ev.HasIdx {
-				e.execFoot.rd.set(e.sys.locOfArr(ev.Var))
-			} else {
-				e.execFoot.rd.set(e.sys.locOfVar(ev.Var))
-			}
-		case trace.KindWrite:
-			if ev.HasIdx {
-				e.execFoot.wr.set(e.sys.locOfArr(ev.Var))
-			} else {
-				e.execFoot.wr.set(e.sys.locOfVar(ev.Var))
-			}
-		case trace.KindCAS:
-			e.execFoot.rd.set(e.sys.locOfVar(ev.Var))
-			e.execFoot.wr.set(e.sys.locOfVar(ev.Var))
+	for _, a := range e.in.accOut[oc.accLo:oc.accHi] {
+		if a&accRead != 0 {
+			e.execFoot.rd.set(int(a >> 2))
+		}
+		if a&accWrite != 0 {
+			e.execFoot.wr.set(int(a >> 2))
 		}
 	}
 	return e.execFoot
@@ -420,14 +392,14 @@ const (
 // restricted scan, sleep-mask-aware dedup with wake-ups, sleep
 // inheritance into children. The context bound is always unbounded here
 // (Check forces it), so the dedup key carries no contexts coordinate.
-func (e *scChecker) expandReduced(c *Config, depth int, sleep uint64) ([]scChild, bool) {
+func (e *scChecker) expandReduced(c *Config, depth int, sleep uint64) bool {
 	e.steps++
 	if e.steps%deadlineStride == 0 {
 		e.flushStats(depth)
 		if e.ctx != nil && e.ctx.Err() != nil {
 			e.exhausted = false
 			e.result.TimedOut = true
-			return nil, true
+			return true
 		}
 	}
 	e.keyBuf, e.deadBuf = e.sys.dedupKey(c, e.keyBuf[:0], e.deadBuf)
@@ -447,7 +419,7 @@ func (e *scChecker) expandReduced(c *Config, depth int, sleep uint64) ([]scChild
 		e.gMaxDepth.SetMax(int64(depth))
 		if e.opts.MaxStates > 0 && e.result.States >= e.opts.MaxStates {
 			e.exhausted = false
-			return nil, true
+			return true
 		}
 	} else {
 		if prev&^sleep == prev {
@@ -455,7 +427,7 @@ func (e *scChecker) expandReduced(c *Config, depth int, sleep uint64) ([]scChild
 			// needs: prune, exactly like a plain dedup hit.
 			e.dedupHits++
 			e.cDedupHits.Inc()
-			return nil, false
+			return false
 		}
 		// Wake-up: the state was first visited with a larger sleep
 		// set. Explore exactly the newly-needed processes and lower
@@ -465,46 +437,36 @@ func (e *scChecker) expandReduced(c *Config, depth int, sleep uint64) ([]scChild
 		e.storeMask(h, prev&sleep)
 	}
 	if explore == 0 {
-		return nil, false
+		return false
 	}
 	running := sleep | exploredBefore
-	var kids []scChild
 	ord := 0
 	for _, p := range e.scanOrder(c) {
 		if explore&procBit(p) == 0 {
 			continue
 		}
 		e.cMacroSteps.Inc()
-		for _, oc := range e.sys.macroStep(c, p) {
+		for j, oc := range e.in.macroStep(c, p) {
 			vord := ord
 			ord++
 			e.result.Transitions++
 			e.cTransitions.Inc()
+			step := pathStep{int32(p), int32(j)}
 			if oc.violation {
-				e.result.Violation = true
-				e.result.Violations++
-				vfp := fp.MixOrdinal(h, vord)
-				switch {
-				case !e.opts.CensusViolations:
-					evs := append(append([]trace.Event(nil), e.path...), oc.events...)
-					e.result.Trace = &trace.Trace{Events: evs}
-					return nil, true
-				case !e.initWitness && (e.result.Trace == nil || vfp < e.bestVFP):
-					e.bestVFP = vfp
-					evs := append(append([]trace.Event(nil), e.path...), oc.events...)
-					e.result.Trace = &trace.Trace{Events: evs}
+				if e.violation(oc, step, fp.MixOrdinal(h, vord)) {
+					return true
 				}
 				continue
 			}
-			kids = append(kids, scChild{
-				cfg:    oc.cfg,
-				events: oc.events,
-				sleep:  e.filterSleep(running, e.stepEventsFoot(oc.events), c),
+			e.kids = append(e.kids, scChild{
+				cfg:   oc.cfg,
+				step:  step,
+				sleep: e.filterSleep(running, e.stepFoot(oc), c),
 			})
 		}
 		running |= procBit(p)
 	}
-	return kids, false
+	return false
 }
 
 // raceReduced composes the reduction with Workers: a reduced serial

@@ -8,13 +8,59 @@ import (
 )
 
 // outcome is the result of one macro step: the configuration at the next
-// quiescent point of the stepped process (or at a violation), plus the
-// events performed.
+// quiescent point of the stepped process (or at a violation). events is
+// filled only by a recording interpreter; accLo:accHi spans the step's
+// shared accesses in the interpreter's accOut when it logs them.
 type outcome struct {
-	cfg       *Config
-	events    []trace.Event
-	violation bool
+	cfg          *Config
+	events       []trace.Event
+	violation    bool
+	accLo, accHi int
 }
+
+// interp is one interpreter with its reusable scratch. The search runs
+// it with record off: no trace event is built and a macro-step costs no
+// allocation once the free list and buffers are warm. Witnesses come
+// from a recording interpreter replaying the search path (replayPath).
+type interp struct {
+	sys *System
+	// record builds the trace events of every outcome (witness replay).
+	record bool
+	// logAcc logs each outcome's shared accesses: the reduced search's
+	// dynamic footprint.
+	logAcc bool
+	// free is the config free list: release parks a config nothing
+	// references any more, and clone takes parked ones first.
+	free []*Config
+
+	out    []outcome     // macroStep result, reused by the next call
+	evs    []trace.Event // events of the running branch (record only)
+	acc    []int32       // shared accesses of the running branch (logAcc only)
+	accOut []int32       // per-outcome access spans of the current step
+}
+
+// Access-log entries are a location bit (see reduce.go) shifted left by
+// two, or-ed with these flags.
+const (
+	accRead  = 1
+	accWrite = 2
+)
+
+// clone returns a copy of c, from the free list when one is parked.
+func (in *interp) clone(c *Config) *Config {
+	var d *Config
+	if n := len(in.free); n > 0 {
+		d = in.free[n-1]
+		in.free = in.free[:n-1]
+	} else {
+		d = in.sys.newConfig()
+	}
+	d.copyFrom(c)
+	return d
+}
+
+// release parks a config nothing references any more.
+func (in *interp) release(c *Config) { in.free = append(in.free, c) }
 
 // maxLocalSteps bounds a single macro step, guarding against local-only
 // infinite loops in non-unrolled programs.
@@ -24,174 +70,257 @@ const maxLocalSteps = 1 << 16
 // maximal run of local operations, branching on nondeterminism. Branches
 // that fail an assume inside an atomic section are discarded (the atomic
 // transition does not exist for those guesses); a failed assume outside
-// an atomic section leaves the process parked at the assume.
-func (s *System) macroStep(c *Config, p int) []outcome {
-	d := c.clone()
+// an atomic section leaves the process parked at the assume. The result
+// is valid until the next macroStep call.
+func (in *interp) macroStep(c *Config, p int) []outcome {
+	d := in.clone(c)
 	d.cur = p
-	var out []outcome
-	s.run(d, p, 0, true, nil, &out, 0)
-	return out
+	in.out = in.out[:0]
+	in.evs = in.evs[:0]
+	in.acc = in.acc[:0]
+	in.accOut = in.accOut[:0]
+	in.run(d, p, 0, true, 0)
+	return in.out
 }
 
 // initClosure runs the local prefix of every process (before the first
 // visible operation), branching on nondeterminism. It returns the set of
-// quiescent initial configurations.
-func (s *System) initClosure(c *Config) []outcome {
-	configs := []outcome{{cfg: c.clone()}}
-	for p := range s.Prog.Procs {
+// quiescent initial configurations, in a deterministic order.
+func (in *interp) initClosure(c *Config) []outcome {
+	configs := []outcome{{cfg: in.clone(c)}}
+	for p := range in.sys.Prog.Procs {
 		var next []outcome
 		for _, oc := range configs {
 			if oc.violation {
 				next = append(next, oc)
 				continue
 			}
-			var sub []outcome
-			s.run(oc.cfg, p, 0, false, oc.events, &sub, 0)
-			next = append(next, sub...)
+			in.out = in.out[:0]
+			in.evs = append(in.evs[:0], oc.events...)
+			in.acc = in.acc[:0]
+			in.run(oc.cfg, p, 0, false, 0)
+			next = append(next, in.out...)
 		}
 		configs = next
 	}
 	return configs
 }
 
+// emit records c as an outcome of the running branch.
+func (in *interp) emit(c *Config, violation bool) {
+	oc := outcome{cfg: c, violation: violation}
+	if in.record {
+		oc.events = append([]trace.Event(nil), in.evs...)
+	}
+	if in.logAcc {
+		oc.accLo = len(in.accOut)
+		in.accOut = append(in.accOut, in.acc...)
+		oc.accHi = len(in.accOut)
+	}
+	in.out = append(in.out, oc)
+}
+
+// access logs one shared access of the running branch.
+func (in *interp) access(bit int, flags int32) {
+	if in.logAcc {
+		in.acc = append(in.acc, int32(bit)<<2|flags)
+	}
+}
+
 // run interprets process p on the owned configuration c until the next
 // quiescent point. firstStep grants permission to execute one visible
 // instruction; afterwards any visible instruction outside an atomic
 // section is a quiescent point.
-func (s *System) run(c *Config, p int, atomicDepth int, firstStep bool, events []trace.Event, out *[]outcome, steps int) {
+func (in *interp) run(c *Config, p int, atomicDepth int, firstStep bool, steps int) {
+	s := in.sys
+	code := s.code[p]
+	regs := s.procRegs(c, p)
+	nVars := len(s.Prog.Vars)
 	for ; steps < maxLocalSteps; steps++ {
-		pr := s.Prog.Procs[p]
-		in := &pr.Code[c.pcs[p]]
-		// ev populates the structured event fields; the text rendering is
-		// derived lazily (Event.Text), keeping the search loop free of
-		// string formatting. Only events whose text cannot be derived
-		// (violations) carry an explicit Detail.
-		ev := func(kind trace.Kind, detail string) trace.Event {
-			return trace.Event{Proc: pr.Name, Label: in.Label, Kind: kind, Detail: detail}
-		}
-		if !firstStep && atomicDepth == 0 && in.GloballyVisible() {
-			*out = append(*out, outcome{cfg: c, events: events})
+		pc := c.pcs[p]
+		ins := &code[pc]
+		if !firstStep && atomicDepth == 0 && ins.visible {
+			in.emit(c, false)
 			return
 		}
-		env := s.env(c, p)
-		switch in.Op {
+		// src is the named instruction, consulted only to build events.
+		src := &s.Prog.Procs[p].Code[pc]
+		switch ins.op {
 		case lang.OpTermProc:
-			*out = append(*out, outcome{cfg: c, events: events})
+			in.emit(c, false)
 			return
 		case lang.OpReadVar:
-			v := c.mem[s.VarIdx[in.Var]]
-			c.regs[s.reg(p, s.RegIdx[p][in.Reg])] = v
-			events = append(events, trace.Event{Proc: pr.Name, Label: in.Label, Kind: trace.KindRead,
-				Var: in.Var, Reg: in.Reg, Val: int64(v), HasVal: true})
-			c.pcs[p] = in.Next
+			v := c.mem[ins.loc]
+			regs[ins.reg] = v
+			in.access(ins.loc, accRead)
+			if in.record {
+				in.event(p, src, trace.Event{Kind: trace.KindRead, Var: src.Var, Reg: src.Reg, Val: v, HasVal: true})
+			}
+			c.pcs[p] = ins.next
 		case lang.OpWriteVar:
-			v := in.Val.Eval(env)
-			c.mem[s.VarIdx[in.Var]] = v
-			events = append(events, trace.Event{Proc: pr.Name, Label: in.Label, Kind: trace.KindWrite,
-				Var: in.Var, Val: int64(v), HasVal: true})
-			c.pcs[p] = in.Next
+			v := s.eval(ins.val, regs)
+			c.mem[ins.loc] = v
+			in.access(ins.loc, accWrite)
+			if in.record {
+				in.event(p, src, trace.Event{Kind: trace.KindWrite, Var: src.Var, Val: v, HasVal: true})
+			}
+			c.pcs[p] = ins.next
 		case lang.OpCASVar:
-			old := in.Old.Eval(env)
-			xi := s.VarIdx[in.Var]
-			if c.mem[xi] != old {
+			old := s.eval(ins.old, regs)
+			if c.mem[ins.loc] != old {
 				if atomicDepth > 0 || firstStep {
+					in.release(c)
 					return // transition does not exist under these guesses
 				}
 				// Park at the CAS; it may become enabled later.
-				*out = append(*out, outcome{cfg: c, events: events})
+				in.emit(c, false)
 				return
 			}
-			nv := in.Val.Eval(env)
-			c.mem[xi] = nv
-			events = append(events, trace.Event{Proc: pr.Name, Label: in.Label, Kind: trace.KindCAS,
-				Var: in.Var, Old: int64(old), HasOld: true, Val: int64(nv), HasVal: true})
-			c.pcs[p] = in.Next
+			nv := s.eval(ins.val, regs)
+			c.mem[ins.loc] = nv
+			in.access(ins.loc, accRead|accWrite)
+			if in.record {
+				in.event(p, src, trace.Event{Kind: trace.KindCAS, Var: src.Var,
+					Old: old, HasOld: true, Val: nv, HasVal: true})
+			}
+			c.pcs[p] = ins.next
 		case lang.OpFenceOp:
 			// A release-acquire fence is a no-op under SC.
-			events = append(events, ev(trace.KindFence, "fence (no-op under SC)"))
-			c.pcs[p] = in.Next
-		case lang.OpLoadArrEl:
-			ai := s.ArrIdx[in.Var]
-			idx := in.Index.Eval(env)
-			if idx < 0 || int(idx) >= s.Arrays[ai].Size {
-				events = append(events, ev(trace.KindViolation, fmt.Sprintf("%s[%d] out of bounds", in.Var, idx)))
-				*out = append(*out, outcome{cfg: c, events: events, violation: true})
+			if in.record {
+				in.event(p, src, trace.Event{Kind: trace.KindFence, Detail: "fence (no-op under SC)"})
+			}
+			c.pcs[p] = ins.next
+		case lang.OpLoadArrEl, lang.OpStoreArrEl:
+			idx := s.eval(ins.index, regs)
+			if idx < 0 || int(idx) >= s.Arrays[ins.loc].Size {
+				if in.record {
+					in.event(p, src, trace.Event{Kind: trace.KindViolation,
+						Detail: fmt.Sprintf("%s[%d] out of bounds", src.Var, idx)})
+				}
+				in.emit(c, true)
 				return
 			}
-			v := c.arr[s.arrOff[ai]+int(idx)]
-			c.regs[s.reg(p, s.RegIdx[p][in.Reg])] = v
-			events = append(events, trace.Event{Proc: pr.Name, Label: in.Label, Kind: trace.KindRead,
-				Var: in.Var, Reg: in.Reg, Val: int64(v), HasVal: true, Idx: int(idx), HasIdx: true})
-			c.pcs[p] = in.Next
-		case lang.OpStoreArrEl:
-			ai := s.ArrIdx[in.Var]
-			idx := in.Index.Eval(env)
-			if idx < 0 || int(idx) >= s.Arrays[ai].Size {
-				events = append(events, ev(trace.KindViolation, fmt.Sprintf("%s[%d] out of bounds", in.Var, idx)))
-				*out = append(*out, outcome{cfg: c, events: events, violation: true})
-				return
+			cell := s.arrOff[ins.loc] + int(idx)
+			if ins.op == lang.OpLoadArrEl {
+				v := c.arr[cell]
+				regs[ins.reg] = v
+				in.access(nVars+ins.loc, accRead)
+				if in.record {
+					in.event(p, src, trace.Event{Kind: trace.KindRead, Var: src.Var, Reg: src.Reg,
+						Val: v, HasVal: true, Idx: int(idx), HasIdx: true})
+				}
+			} else {
+				v := s.eval(ins.val, regs)
+				c.arr[cell] = v
+				in.access(nVars+ins.loc, accWrite)
+				if in.record {
+					in.event(p, src, trace.Event{Kind: trace.KindWrite, Var: src.Var,
+						Val: v, HasVal: true, Idx: int(idx), HasIdx: true})
+				}
 			}
-			v := in.Val.Eval(env)
-			c.arr[s.arrOff[ai]+int(idx)] = v
-			events = append(events, trace.Event{Proc: pr.Name, Label: in.Label, Kind: trace.KindWrite,
-				Var: in.Var, Val: int64(v), HasVal: true, Idx: int(idx), HasIdx: true})
-			c.pcs[p] = in.Next
+			c.pcs[p] = ins.next
 		case lang.OpAtomicBegin:
 			atomicDepth++
-			c.pcs[p] = in.Next
+			c.pcs[p] = ins.next
 		case lang.OpAtomicEnd:
 			atomicDepth--
-			c.pcs[p] = in.Next
+			c.pcs[p] = ins.next
 		case lang.OpAssignReg:
-			c.regs[s.reg(p, s.RegIdx[p][in.Reg])] = in.Val.Eval(env)
-			c.pcs[p] = in.Next
+			regs[ins.reg] = s.eval(ins.val, regs)
+			c.pcs[p] = ins.next
 		case lang.OpNondetReg:
-			ri := s.reg(p, s.RegIdx[p][in.Reg])
-			next := in.Next
 			// High-to-low: in translated programs the "interesting"
 			// guesses (view-altering read, tracked write, publish) are
 			// the high values, and trying them first reaches weak
 			// behaviours — and therefore bugs — much earlier in the DFS.
-			for v := in.Hi; v >= in.Lo; v-- {
-				d := c.clone()
-				d.regs[ri] = v
-				d.pcs[p] = next
-				evs := append(append([]trace.Event(nil), events...),
-					trace.Event{Proc: pr.Name, Label: in.Label, Kind: trace.KindLocal,
-						Reg: in.Reg, Val: int64(v), HasVal: true, Choice: true})
-				s.run(d, p, atomicDepth, false, evs, out, steps+1)
+			// The last branch takes c itself instead of a clone.
+			ne, na := len(in.evs), len(in.acc)
+			for v := ins.hi; v >= ins.lo; v-- {
+				d := c
+				if v != ins.lo {
+					d = in.clone(c)
+				}
+				s.procRegs(d, p)[ins.reg] = v
+				d.pcs[p] = ins.next
+				if in.record {
+					in.evs = in.evs[:ne]
+					in.event(p, src, trace.Event{Kind: trace.KindLocal, Reg: src.Reg,
+						Val: v, HasVal: true, Choice: true})
+				}
+				in.acc = in.acc[:na]
+				in.run(d, p, atomicDepth, false, steps+1)
 			}
+			if ins.hi < ins.lo {
+				in.release(c)
+			}
+			in.evs, in.acc = in.evs[:ne], in.acc[:na]
 			return
 		case lang.OpAssumeCond:
-			if in.Cond.Eval(env) == 0 {
+			if s.eval(ins.cond, regs) == 0 {
 				if atomicDepth > 0 {
+					in.release(c)
 					return // infeasible guess: discard the atomic branch
 				}
-				*out = append(*out, outcome{cfg: c, events: events})
+				in.emit(c, false)
 				return
 			}
-			c.pcs[p] = in.Next
+			c.pcs[p] = ins.next
 		case lang.OpAssertCond:
-			if in.Cond.Eval(env) == 0 {
-				events = append(events, ev(trace.KindViolation, "assert failed: "+in.Cond.String()))
-				*out = append(*out, outcome{cfg: c, events: events, violation: true})
+			if s.eval(ins.cond, regs) == 0 {
+				if in.record {
+					in.event(p, src, trace.Event{Kind: trace.KindViolation,
+						Detail: "assert failed: " + src.Cond.String()})
+				}
+				in.emit(c, true)
 				return
 			}
-			c.pcs[p] = in.Next
+			c.pcs[p] = ins.next
 		case lang.OpCJmp:
-			if in.Cond.Eval(env) != 0 {
-				c.pcs[p] = in.Next
+			if s.eval(ins.cond, regs) != 0 {
+				c.pcs[p] = ins.next
 			} else {
-				c.pcs[p] = in.Else
+				c.pcs[p] = ins.els
 			}
 		case lang.OpJmp:
-			c.pcs[p] = in.Next
+			c.pcs[p] = ins.next
 		default:
-			panic(fmt.Sprintf("sc: unknown opcode %s", in.Op))
+			panic(fmt.Sprintf("sc: unknown opcode %s", ins.op))
 		}
 		firstStep = false
 	}
 	// Local divergence: treat as stuck (drop the branch) — only possible
 	// for non-unrolled programs with local-only loops.
-	*out = append(*out, outcome{cfg: c, events: events})
+	in.emit(c, false)
+}
+
+// event appends a witness event of process p at instruction src. The
+// structured fields carry the data; the text rendering is derived
+// lazily (Event.Text), and only violations carry an explicit Detail.
+func (in *interp) event(p int, src *lang.Instr, ev trace.Event) {
+	ev.Proc = in.sys.Prog.Procs[p].Name
+	ev.Label = src.Label
+	in.evs = append(in.evs, ev)
+}
+
+// replayPath rebuilds the witness of a search path by re-running it
+// with recording on: root indexes the initial closure, each step names
+// the process and the index of the outcome taken. Runs are
+// deterministic, so the events are exactly those of the searched path.
+func (s *System) replayPath(root int, path []pathStep) *trace.Trace {
+	in := &interp{sys: s, record: true}
+	oc := in.initClosure(s.Init())[root]
+	events := oc.events
+	c := oc.cfg
+	for _, st := range path {
+		oc := in.macroStep(c, int(st.proc))[st.idx]
+		events = append(events, oc.events...)
+		c = oc.cfg
+	}
+	return &trace.Trace{Events: events}
+}
+
+// pathStep is one macro-step of a search path: the stepped process and
+// the index of the outcome taken among macroStep's results.
+type pathStep struct {
+	proc, idx int32
 }

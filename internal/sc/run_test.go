@@ -14,7 +14,7 @@ func TestInitClosureRunsLocalPrefixes(t *testing.T) {
 	p.AddProc("p0", "r").Add(lang.NondetS("r", 0, 1), lang.WriteS("x", lang.R("r")))
 	p.AddProc("p1", "s").Add(lang.AssignS("s", lang.C(7)), lang.ReadS("s", "x"))
 	sys := NewSystem(lang.MustCompile(p))
-	ocs := sys.initClosure(sys.Init())
+	ocs := (&interp{sys: sys}).initClosure(sys.Init())
 	if len(ocs) != 2 { // two nondet values for p0; p1 deterministic
 		t.Fatalf("initial closure produced %d configs, want 2", len(ocs))
 	}

@@ -23,9 +23,9 @@ import (
 )
 
 // System pre-computes indices for SC execution of a compiled program.
-// Shared arrays and all register files are flattened into single slices:
-// configurations are cloned constantly during search, and three
-// contiguous copies beat dozens of small ones.
+// Shared arrays and all register files are flattened into one backing
+// slice per configuration: configurations are cloned constantly during
+// search, and one contiguous copy beats dozens of small ones.
 type System struct {
 	Prog   *lang.CompiledProgram
 	VarIdx map[string]int
@@ -38,6 +38,12 @@ type System struct {
 	arrTotal int
 	regOff   []int
 	regTotal int
+
+	// code[p] is process p's code with every name resolved to a slot and
+	// every expression compiled into nodes (see expr.go); the
+	// interpreter never consults the name maps.
+	code  [][]cinstr
+	nodes []cnode
 
 	// Partial-order-reduction dependence tables, built lazily on first
 	// reduced search (see reduce.go).
@@ -65,13 +71,18 @@ func NewSystem(cp *lang.CompiledProgram) *System {
 		s.regOff = append(s.regOff, s.regTotal)
 		s.regTotal += len(pr.Regs)
 	}
+	for p := range cp.Procs {
+		s.code = append(s.code, s.resolveProc(p))
+	}
 	return s
 }
 
 // Config is an SC machine configuration: one shared store, per-process
 // program counters and register files, and the identity of the process
-// holding the current context.
+// holding the current context. mem, arr and regs are windows into one
+// backing slice, so a clone is two copies.
 type Config struct {
+	vals []lang.Value // mem, arr and regs back to back
 	mem  []lang.Value // shared scalars
 	arr  []lang.Value // all shared arrays, flattened
 	pcs  []int
@@ -79,16 +90,24 @@ type Config struct {
 	cur  int          // process holding the context; -1 before the first step
 }
 
+// newConfig allocates a zeroed configuration.
+func (s *System) newConfig() *Config {
+	nm := len(s.Prog.Vars)
+	vals := make([]lang.Value, nm+s.arrTotal+s.regTotal)
+	return &Config{
+		vals: vals,
+		mem:  vals[:nm:nm],
+		arr:  vals[nm : nm+s.arrTotal : nm+s.arrTotal],
+		regs: vals[nm+s.arrTotal:],
+		pcs:  make([]int, len(s.Prog.Procs)),
+		cur:  -1,
+	}
+}
+
 // Init returns the initial configuration: all variables, array cells and
 // registers 0 (or the array's declared init value).
 func (s *System) Init() *Config {
-	c := &Config{
-		mem:  make([]lang.Value, len(s.Prog.Vars)),
-		arr:  make([]lang.Value, s.arrTotal),
-		pcs:  make([]int, len(s.Prog.Procs)),
-		regs: make([]lang.Value, s.regTotal),
-		cur:  -1,
-	}
+	c := s.newConfig()
 	for i, a := range s.Arrays {
 		if a.Init != 0 {
 			cells := c.arr[s.arrOff[i] : s.arrOff[i]+a.Size]
@@ -100,14 +119,11 @@ func (s *System) Init() *Config {
 	return c
 }
 
-func (c *Config) clone() *Config {
-	return &Config{
-		mem:  append([]lang.Value(nil), c.mem...),
-		arr:  append([]lang.Value(nil), c.arr...),
-		pcs:  append([]int(nil), c.pcs...),
-		regs: append([]lang.Value(nil), c.regs...),
-		cur:  c.cur,
-	}
+// copyFrom overwrites d with c; both belong to the same System.
+func (d *Config) copyFrom(c *Config) {
+	copy(d.vals, c.vals)
+	copy(d.pcs, c.pcs)
+	d.cur = c.cur
 }
 
 // reg returns the flattened index of register ri of process p.
@@ -220,6 +236,30 @@ func (s *System) Terminated(c *Config) bool {
 	return true
 }
 
+// scanOrder fills buf with the canonical process scan order at c: the
+// context holder first, then declaration (or reversed) order. Trying
+// the holder first explores near-serial schedules before heavily
+// preempted ones, so counterexamples that deviate from a serial run in
+// few, late places (the typical shape of mutual-exclusion bugs) are
+// found early.
+func (s *System) scanOrder(buf []int, c *Config, reverse bool) []int {
+	order := buf[:0]
+	if c.cur >= 0 {
+		order = append(order, c.cur)
+	}
+	n := len(s.Prog.Procs)
+	for i := 0; i < n; i++ {
+		p := i
+		if reverse {
+			p = n - 1 - i
+		}
+		if p != c.cur {
+			order = append(order, p)
+		}
+	}
+	return order
+}
+
 // procStatus classifies what process p can do next from c.
 type procStatus int
 
@@ -232,31 +272,22 @@ const (
 // status inspects p without modifying c. It must be called only at
 // quiescent points (pc at a visible instruction, term, or assume).
 func (s *System) status(c *Config, p int) procStatus {
-	in := &s.Prog.Procs[p].Code[c.pcs[p]]
-	switch in.Op {
+	in := &s.code[p][c.pcs[p]]
+	switch in.op {
 	case lang.OpTermProc:
 		return statusTerminated
 	case lang.OpAssumeCond:
-		if in.Cond.Eval(s.env(c, p)) == 0 {
+		if s.eval(in.cond, s.procRegs(c, p)) == 0 {
 			return statusStuck
 		}
 		return statusReady
 	case lang.OpCASVar:
-		if c.mem[s.VarIdx[in.Var]] != in.Old.Eval(s.env(c, p)) {
+		if c.mem[in.loc] != s.eval(in.old, s.procRegs(c, p)) {
 			return statusStuck
 		}
 		return statusReady
 	default:
 		return statusReady
-	}
-}
-
-func (s *System) env(c *Config, p int) func(string) lang.Value {
-	return func(name string) lang.Value {
-		if i, ok := s.RegIdx[p][name]; ok {
-			return c.regs[s.reg(p, i)]
-		}
-		return 0
 	}
 }
 
@@ -266,7 +297,7 @@ func (s *System) env(c *Config, p int) func(string) lang.Value {
 // an assertion are dropped.
 func (s *System) InitialConfigs() []*Config {
 	var out []*Config
-	for _, oc := range s.initClosure(s.Init()) {
+	for _, oc := range (&interp{sys: s}).initClosure(s.Init()) {
 		if !oc.violation {
 			out = append(out, oc.cfg)
 		}
@@ -282,7 +313,7 @@ func (s *System) MacroSteps(c *Config, p int) []*Config {
 		return nil
 	}
 	var out []*Config
-	for _, oc := range s.macroStep(c, p) {
+	for _, oc := range (&interp{sys: s}).macroStep(c, p) {
 		if !oc.violation {
 			out = append(out, oc.cfg)
 		}

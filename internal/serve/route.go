@@ -214,8 +214,15 @@ func (s *Server) runLocal(ctx context.Context, rc *runCtx, req VerifyRequest, pr
 		defer timer.Stop()
 	}
 
+	timeout := time.Until(deadline)
+	if timeout <= 0 {
+		// The engines read Timeout <= 0 as "no timeout": answer like a
+		// run the deadline cut short instead of running unbounded.
+		s.failed.Inc()
+		return rc.fail(http.StatusGatewayTimeout, "", "%v", context.DeadlineExceeded)
+	}
 	xc := cache.ExecConfig{
-		Timeout: time.Until(deadline), Jobs: s.cfg.Jobs, SearchWorkers: s.cfg.SearchWorkers,
+		Timeout: timeout, Jobs: s.cfg.Jobs, SearchWorkers: s.cfg.SearchWorkers,
 		Reduce: s.cfg.Reduce, TMAI: s.cfg.TMAI, Obs: rc.rec,
 	}
 	var (

@@ -274,8 +274,13 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 // full queue rejects immediately (errBusy → 429, backpressure not
 // buffering); with wait true the caller blocks for a token too — batch
 // items, whose backpressure is the batch taking longer. The returned
-// release function gives both back.
+// release function gives both back. An expired ctx is refused before
+// each stage: a select with a free slot and a done ctx both ready picks
+// either at random, which would admit the expired request.
 func (s *Server) admitRequest(ctx context.Context, wait bool) (release func(), err error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	if wait {
 		select {
 		case s.admit <- struct{}{}:
@@ -290,6 +295,11 @@ func (s *Server) admitRequest(ctx context.Context, wait bool) (release func(), e
 		}
 	}
 	s.gQueued.Set(int64(len(s.admit) - len(s.work)))
+	if err := ctx.Err(); err != nil {
+		<-s.admit
+		s.gQueued.Set(int64(len(s.admit) - len(s.work)))
+		return nil, err
+	}
 	select {
 	case s.work <- struct{}{}:
 	case <-ctx.Done():
@@ -447,7 +457,11 @@ func (s *Server) runMinK(ctx context.Context, req VerifyRequest, prog *lang.Prog
 	for k := req.K; k <= maxK; k++ {
 		cr := req.cacheRequest(prog)
 		cr.K = k
-		xc.Timeout = time.Until(deadline)
+		// A spent budget must not reach the engines as Timeout <= 0,
+		// which they read as "no timeout".
+		if xc.Timeout = time.Until(deadline); xc.Timeout <= 0 {
+			return cache.Outcome{}, nil, filled, context.DeadlineExceeded
+		}
 		var err error
 		var f bool
 		out, f, err = s.verifyFill(ctx, cr, xc)
