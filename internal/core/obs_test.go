@@ -84,8 +84,11 @@ func TestUninstrumentedRunHasNoReport(t *testing.T) {
 // found the bug — on a SAFE program both probes miss and no hit or tier
 // is recorded; on a probe-caught bug exactly one hit is recorded with
 // its tier and the driver never reaches the final full-bound search.
+// The SAFE run also ends with every planned search round run (rounds
+// the schedule skips are withdrawn from core.deepen_total), and each
+// ladder round's span says how it ended.
 func TestObsProbeTierOutcomes(t *testing.T) {
-	rec := obs.New()
+	rec := obs.NewTracing()
 	res, err := Run(mpSafe(), Options{K: 2, Obs: rec})
 	if err != nil {
 		t.Fatal(err)
@@ -104,6 +107,10 @@ func TestObsProbeTierOutcomes(t *testing.T) {
 	if !hasPhase(res.Report, "final.search") {
 		t.Errorf("safe verdict requires the final full-bound search; phases = %+v", res.Report.Phases)
 	}
+	if rounds, total := c["core.deepen_rounds"], res.Report.Gauges["core.deepen_total"]; rounds == 0 || rounds != total {
+		t.Errorf("safe run ran %d search rounds of %d scheduled, want all of them", rounds, total)
+	}
+	checkDeepenSpans(t, rec.Spans())
 
 	prog, err := benchmarks.ByName("peterson_0")
 	if err != nil {
@@ -134,5 +141,35 @@ func TestObsProbeTierOutcomes(t *testing.T) {
 	}
 	if c["core.probe_hits"] != 1 {
 		t.Errorf("peterson_0 bug is probe-reachable, want exactly one probe hit, got %d", c["core.probe_hits"])
+	}
+}
+
+// checkDeepenSpans asserts that the span forest has ladder rounds and
+// that every one records its bound, order, states and stop reason.
+func checkDeepenSpans(t *testing.T, roots []*obs.SpanNode) {
+	t.Helper()
+	stops := map[string]bool{"exhausted": true, "capped": true, "violation": true, "cancelled": true}
+	n := 0
+	var walk func([]*obs.SpanNode)
+	walk = func(nodes []*obs.SpanNode) {
+		for _, sp := range nodes {
+			if sp.Name == "probe1.deepen" || sp.Name == "probe2.deepen" {
+				n++
+				for _, key := range []string{"max_contexts", "reverse", "states"} {
+					if sp.Attrs[key] == "" {
+						t.Errorf("%s span %d has no %s attribute: %v", sp.Name, sp.ID, key, sp.Attrs)
+					}
+				}
+				if !stops[sp.Attrs["stop"]] {
+					t.Errorf("%s span %d: stop = %q, want exhausted, capped, violation or cancelled",
+						sp.Name, sp.ID, sp.Attrs["stop"])
+				}
+			}
+			walk(sp.Children)
+		}
+	}
+	walk(roots)
+	if n == 0 {
+		t.Error("no probe deepening round in the span tree")
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"sync"
 	"time"
 
@@ -87,7 +88,7 @@ type Options struct {
 	// reduction (sc.Options.Reduce): only representative interleavings
 	// of commuting independent steps are explored. The backend forces
 	// an unbounded context bound when reducing (bounded contexts do not
-	// commute), so the iterative context-deepening ladder is skipped;
+	// commute), so the probes' context-deepening ladder is skipped;
 	// verdicts are unchanged, state counts shrink. Falls back to the
 	// unreduced search on programs where the reduction does not apply.
 	Reduce bool
@@ -102,7 +103,7 @@ type Options struct {
 	// Obs, when non-nil, instruments the run: the driver records
 	// per-phase spans (validate, unroll, per-probe translate / compile /
 	// deepen / search, the full translate, and the final compile /
-	// deepen / search), per-probe outcome counters ("core.probes_run",
+	// search), per-probe outcome counters ("core.probes_run",
 	// "core.probe_hits", "core.probe_misses", gauge
 	// "core.probe_hit_tier"), and the SC backend adds its own search
 	// counters against the same recorder. The Result then carries
@@ -156,15 +157,15 @@ type Result struct {
 // Lazy CSeq + CBMC.
 //
 // Because the backend is an explicit-state search rather than a SAT
-// solver, the driver layers two goal-directed devices on top of the
-// paper's reduction, neither of which changes the decided problem:
-//
-//   - an under-approximate probe: the translation restricted to tracked
-//     writes with stamps at most 2 above the view is checked first (its
-//     guesses are a subset of the full translation's, so a bug it finds
-//     is genuine);
-//   - iterative context deepening: within each pass, small context
-//     bounds are searched before the full K+n bound.
+// solver, the driver first runs two under-approximate probes: the
+// translation restricted to tracked writes with stamps at most 1, then
+// 2, above the view (their guesses are a subset of the full
+// translation's, so a bug they find is genuine), each searched with
+// iterative context deepening (see checkDeepening). If both miss, one
+// full-bound search of the full translation decides, as the paper's
+// one backend call per (K, L). Every round is bounded in states, so
+// Timeout is only the global cutoff: unless it fires, the outcome does
+// not depend on it.
 func Run(prog *lang.Program, opts Options) (Result, error) {
 	rec := opts.Obs
 	span := rec.StartPhase("validate")
@@ -268,13 +269,12 @@ func Run(prog *lang.Program, opts Options) (Result, error) {
 		tiers := []struct {
 			v         variant
 			maxStates int
-			slice     time.Duration
 		}{
 			// Window 1 is a cheap lottery ticket: it catches bugs whose
 			// modification orders follow the merge order, and costs
 			// little when it does not.
-			{variant{stampWindow: 1, forceTracked: true}, 150_000, opts.Timeout / 8},
-			{variant{stampWindow: 2, forceTracked: true}, 600_000, opts.Timeout / 3},
+			{variant{stampWindow: 1, forceTracked: true}, 150_000},
+			{variant{stampWindow: 2, forceTracked: true}, 600_000},
 		}
 		for i, tier := range tiers {
 			phase := fmt.Sprintf("probe%d", i+1)
@@ -285,15 +285,12 @@ func Run(prog *lang.Program, opts Options) (Result, error) {
 			if err != nil {
 				return Result{}, err
 			}
-			probeOpts := sc.Options{MaxContexts: bound, MaxStates: tier.maxStates, Ctx: opts.Ctx, ExactDedup: opts.ExactDedup, Reduce: opts.Reduce, Workers: opts.Workers, StealSeed: opts.StealSeed, Obs: rec}
+			probeOpts := sc.Options{MaxContexts: bound, MaxStates: tier.maxStates, Deadline: deadline, Ctx: opts.Ctx, ExactDedup: opts.ExactDedup, Reduce: opts.Reduce, Workers: opts.Workers, StealSeed: opts.StealSeed, Obs: rec}
 			if opts.MaxStates > 0 && opts.MaxStates < probeOpts.MaxStates {
 				probeOpts.MaxStates = opts.MaxStates
 			}
-			if opts.Timeout > 0 {
-				probeOpts.Deadline = time.Now().Add(tier.slice)
-			}
 			probeStart := time.Now()
-			res := checkDeepening(probeProg, bound, probeOpts, rec, phase)
+			res := checkDeepening(probeProg, probeOpts, true, rec, phase)
 			probeSecs := time.Since(probeStart).Seconds()
 			rec.Histogram("core.probe_seconds", obs.DurationBuckets).Observe(probeSecs)
 			if probeSecs > 0 && res.States > 0 {
@@ -330,7 +327,7 @@ func Run(prog *lang.Program, opts Options) (Result, error) {
 	rec.Gauge("translate.stmts").Set(int64(out.TranslatedStmts))
 	scOpts := sc.Options{MaxContexts: bound, MaxStates: opts.MaxStates, Deadline: deadline, Ctx: opts.Ctx, ExactDedup: opts.ExactDedup, Reduce: opts.Reduce, Workers: opts.Workers, StealSeed: opts.StealSeed, Obs: rec}
 	finalStart := time.Now()
-	res := checkDeepening(translated, bound, scOpts, rec, "final")
+	res := checkDeepening(translated, scOpts, false, rec, "final")
 	finalSecs := time.Since(finalStart).Seconds()
 	rec.Histogram("core.final_search_seconds", obs.DurationBuckets).Observe(finalSecs)
 	if finalSecs > 0 && res.States > 0 {
@@ -352,20 +349,26 @@ func Run(prog *lang.Program, opts Options) (Result, error) {
 	return finish(out), nil
 }
 
-// ladderCap is the per-round state budget of the restart ladder: no
-// single scheduling bias may starve the others, and the final uncapped
-// full-bound run still decides SAFE exactly.
+// ladderCap is the per-round state budget of a probe's deepening
+// ladder: no single scheduling bias may starve the others, and a pair
+// of rounds that both reach it ends the probe.
 const ladderCap = 150_000
 
-// checkDeepening compiles the translated program and model-checks it
-// with iterative context deepening: counterexamples typically need very
-// few contexts, and the k-context state space is far smaller than the
-// full one, so small bounds are searched first; the final full-bound
-// run still decides SAFE exactly. Phase timings are recorded against
-// rec under the given phase prefix (phase+".compile", one
-// phase+".deepen" span per ladder round, phase+".search" for the final
-// full-bound run).
-func checkDeepening(translated *lang.Program, bound int, scOpts sc.Options, rec *obs.Recorder, phase string) sc.Result {
+// checkDeepening compiles the translated program and model-checks it.
+// The final pass (ladder false) is one full-bound search. A probe pass
+// deepens the context bound first, since counterexamples typically
+// need few contexts: each bound cb from 2 to one below the full bound
+// is searched under both process orders (bugs in different threads are
+// reached by differently biased searches, cf. the paper's Tables 3 and
+// 4), each round within ladderCap states, then the full bound once. A
+// round that exhausts its space skips the reversed-order round at the
+// same cb, which covers the identical (state, contexts) set; a pair of
+// rounds that both stop on the cap ends the probe. Under the reduction
+// contexts are unbounded, so only the full-bound round runs. Spans:
+// phase+".compile", phase+".deepen" per ladder round and phase+".search"
+// for the full bound, each round's span recording max_contexts, reverse,
+// states and stop (exhausted, capped, violation or cancelled).
+func checkDeepening(translated *lang.Program, scOpts sc.Options, ladder bool, rec *obs.Recorder, phase string) sc.Result {
 	span := rec.StartPhase(phase + ".compile")
 	cp, err := lang.Compile(translated)
 	span.End()
@@ -375,63 +378,57 @@ func checkDeepening(translated *lang.Program, bound int, scOpts sc.Options, rec 
 		panic(fmt.Sprintf("core: compiling translation: %v", err))
 	}
 	sys := sc.NewSystem(cp)
-	// Publish how many ladder rounds this call will run (the deepening
-	// pairs plus the final full-bound search) into the cumulative
-	// "core.deepen_total" gauge: progress of "core.deepen_rounds" against
-	// it drives the -watch ETA heuristic.
-	planned := int64(1)
-	if bound > 2 && !scOpts.Reduce {
-		planned += 2 * int64(bound-2)
+	rungs := 0
+	if ladder && scOpts.MaxContexts > 2 && !scOpts.Reduce {
+		rungs = scOpts.MaxContexts - 2
 	}
+	// Rounds planned minus rounds skipped: "core.deepen_rounds" ends
+	// equal to it, and progress against it drives the -watch ETA.
+	planned, ran := 1+2*rungs, 0
 	gTotal := rec.Gauge("core.deepen_total")
-	gTotal.Set(gTotal.Value() + planned)
-	var res sc.Result
-	var totalStates, totalTransitions int
-	// Restart ladder: each round pairs a small context bound (2 up to
-	// one below the full bound) with one of the two process orders —
-	// bugs located in different threads are reached by differently
-	// biased searches, cf. the position sensitivity of RCMC in the
-	// paper's Tables 3 and 4. Each round carries the ladderCap state
-	// budget so that no single bias can starve the others; the final
-	// uncapped full-bound run decides SAFE exactly.
-	budget := ladderCap
-	if scOpts.MaxStates > 0 && budget > scOpts.MaxStates {
-		budget = scOpts.MaxStates
+	gTotal.Set(gTotal.Value() + int64(planned))
+	defer func() { gTotal.Set(gTotal.Value() - int64(planned-ran)) }()
+	var states, transitions int
+	round := func(opts sc.Options, name string) sc.Result {
+		ran++
+		rec.Counter("core.deepen_rounds").Inc()
+		span := rec.StartPhase(name)
+		res := sys.Check(opts)
+		stop := "capped"
+		switch {
+		case res.Violation:
+			stop = "violation"
+		case res.TimedOut:
+			stop = "cancelled"
+		case res.Exhausted:
+			stop = "exhausted"
+		}
+		span.SetAttrInt("max_contexts", int64(opts.MaxContexts))
+		span.SetAttr("reverse", strconv.FormatBool(opts.ReverseProcs))
+		span.SetAttrInt("states", int64(res.States))
+		span.SetAttr("stop", stop)
+		span.End()
+		states += res.States
+		transitions += res.Transitions
+		res.States, res.Transitions = states, transitions
+		return res
 	}
-	// The restart ladder pairs small context bounds with process-order
-	// biases; under the reduction the backend forces unbounded contexts,
-	// so every ladder rung would re-run the same full search — skip
-	// straight to the final run instead.
-	for cb := 2; !scOpts.Reduce && bound > 0 && cb < bound; cb++ {
+	for cb := 2; cb < 2+rungs; cb++ {
+		var res sc.Result
 		for _, rev := range []bool{false, true} {
-			rec.Counter("core.deepen_rounds").Inc()
-			round := scOpts
-			round.MaxContexts = cb
-			round.ReverseProcs = rev
-			round.MaxStates = budget
-			span := rec.StartPhase(phase + ".deepen")
-			res = sys.Check(round)
-			span.End()
-			totalStates += res.States
-			totalTransitions += res.Transitions
-			if res.Violation || res.TimedOut {
-				res.States, res.Transitions = totalStates, totalTransitions
-				return res
+			opts := scOpts
+			// Probe passes always carry a positive state cap.
+			opts.MaxContexts, opts.ReverseProcs, opts.MaxStates = cb, rev, min(ladderCap, scOpts.MaxStates)
+			if res = round(opts, phase+".deepen"); res.Violation || res.TimedOut || res.Exhausted {
+				break
 			}
 		}
+		// A violation, the cutoff, or both orders stopped on the cap.
+		if !res.Exhausted {
+			return res
+		}
 	}
-	if !res.Violation && !res.TimedOut {
-		// The final full-bound run is the ladder's last rung: counting it
-		// in deepen_rounds lets the round counter reach deepen_total.
-		rec.Counter("core.deepen_rounds").Inc()
-		span := rec.StartPhase(phase + ".search")
-		res = sys.Check(scOpts)
-		span.End()
-		totalStates += res.States
-		totalTransitions += res.Transitions
-	}
-	res.States, res.Transitions = totalStates, totalTransitions
-	return res
+	return round(scOpts, phase+".search")
 }
 
 // FindMinK runs VBMC with K = 0, 1, ..., maxK and returns the first

@@ -292,8 +292,9 @@ func SCReduceDiff(prog *lang.Program, opts sc.Options) string {
 // CoreReduceDiff runs the full VBMC pipeline with and without the
 // reduction and compares verdicts; an UNSAFE from the reduced pipeline
 // must still carry a replay-validated witness. (State counts are not
-// compared at this layer: the unreduced pipeline climbs the context
-// ladder, the reduced one runs a single unbounded search.)
+// compared at this layer: the unreduced probes climb a context ladder
+// and every unreduced search is bounded in contexts, while each reduced
+// search runs unbounded.)
 func CoreReduceDiff(prog *lang.Program, opts core.Options) string {
 	fopts := opts
 	fopts.Reduce = false

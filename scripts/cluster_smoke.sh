@@ -8,8 +8,7 @@
 #   1. the cold cluster pass produces byte-identical verdict rows
 #      (index, status, verdict, witness SHA-256) to the solo daemon —
 #      routing never changes answers. State counts are excluded: the
-#      vbmc driver deepens its probes against the wall clock, so the
-#      count at first violation is timing-dependent on any topology;
+#      rows compare answers only;
 #   2. requests were actually forwarded: the ravbmc_cluster_*
 #      families are present and summed forwards are > 0;
 #   3. a SIGTERM delivered to one member mid-sweep (a parked long
