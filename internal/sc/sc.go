@@ -134,8 +134,9 @@ func (c *Config) Key() string { return string(c.appendKey(nil, nil)) }
 
 // appendKey encodes the configuration into buf; when dead is non-nil it
 // holds, per process, the flattened start offset of the process's
-// registers or -1 when the process has terminated (its registers are
-// dead and masked out), with a final total-length sentinel.
+// registers, bit-complemented (negative) when the process has
+// terminated (its registers are dead and masked out), with a final
+// total-length sentinel.
 func (c *Config) appendKey(buf []byte, dead []int) []byte {
 	for _, v := range c.mem {
 		buf = appendVal(buf, v)
@@ -157,15 +158,11 @@ func (c *Config) appendKey(buf []byte, dead []int) []byte {
 				buf = append(buf, 0xFD)
 				continue
 			}
+			// A live window ends where the next process's starts,
+			// whether that process is live or not.
 			end := dead[p+1]
 			if end < 0 {
-				// Find the next live offset or the sentinel.
-				for q := p + 2; ; q++ {
-					if dead[q] >= 0 {
-						end = dead[q]
-						break
-					}
-				}
+				end = ^end
 			}
 			for _, v := range c.regs[off:end] {
 				buf = appendVal(buf, v)
@@ -202,7 +199,7 @@ func (s *System) dedupKey(c *Config, buf []byte, scratch []int) ([]byte, []int) 
 	dead := scratch[:0]
 	for p := range s.Prog.Procs {
 		if s.Prog.Procs[p].Terminated(c.pcs[p]) {
-			dead = append(dead, -1)
+			dead = append(dead, ^s.regOff[p])
 		} else {
 			dead = append(dead, s.regOff[p])
 		}

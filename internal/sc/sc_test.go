@@ -258,3 +258,29 @@ func TestKeyEncodings(t *testing.T) {
 		}
 	}
 }
+
+// TestDedupKeyMasksDeadRegistersBeforeLiveProcess: a terminated
+// process's registers are dead even when a lower-numbered process is
+// still live, so configurations differing only there share a key.
+func TestDedupKeyMasksDeadRegistersBeforeLiveProcess(t *testing.T) {
+	p := lang.NewProgram("dead_mid", "x")
+	p.AddProc("p0", "a").Add(lang.ReadS("a", "x"))
+	p.AddProc("p1", "b").Add(lang.AssignS("b", lang.C(1)))
+	p.AddProc("p2", "c").Add(lang.ReadS("c", "x"))
+	sys := NewSystem(lang.MustCompile(p))
+	inits := sys.InitialConfigs()
+	if len(inits) != 1 {
+		t.Fatalf("expected 1 initial config, got %d", len(inits))
+	}
+	c := inits[0]
+	if sys.status(c, 0) != statusReady || sys.status(c, 1) != statusTerminated ||
+		sys.status(c, 2) != statusReady {
+		t.Fatal("want p0 and p2 live, p1 terminated")
+	}
+	d := sys.newConfig()
+	d.copyFrom(c)
+	d.regs[sys.reg(1, 0)] = 7
+	if string(sys.DedupKey(c, nil)) != string(sys.DedupKey(d, nil)) {
+		t.Error("configs differing only in a terminated process's registers have distinct keys")
+	}
+}
