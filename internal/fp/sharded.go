@@ -4,16 +4,16 @@ import "sync"
 
 // shardCount is the number of shards of a ShardedSet. 256 shards keep
 // the probability of two of even 32 workers colliding on one shard
-// lock below 2% per probe pair, while the per-shard maps stay large
-// enough to amortise map overhead. Must be a power of two: shards are
+// lock below 2% per probe pair, while the per-shard tables stay large
+// enough to amortise their growth. Must be a power of two: shards are
 // selected by the high bits of the 64-bit fingerprint, so the
 // selection reuses the hash the probe needs anyway and every shard
 // receives a uniform slice of the key space.
 const shardCount = 256
 
 // shardShift extracts the shard index from the top bits of a
-// fingerprint. The low bits keep their full entropy for the in-shard
-// map, so sharding never degrades map bucket distribution.
+// fingerprint. The in-shard table places fingerprints by all their
+// bits, so sharding never degrades its distribution.
 const shardShift = 64 - 8
 
 // ShardedSet is the concurrent counterpart of Set: a visited set for
@@ -23,24 +23,25 @@ const shardShift = 64 - 8
 // its own mutex, so concurrent probes contend only when their states
 // land in the same 1/256th of the fingerprint space.
 //
-// Semantics are identical to Set.Visit: first visit wins, a revisit
-// with at least as much budget used is pruned, a revisit with strictly
-// less budget re-explores. Because the outcome of Visit depends only
-// on the key and the budget history of that key — never on which
-// worker asks — the set of "explore" answers over any concurrent
-// schedule equals the serial set's answers when the engines pass a
-// constant budget (the order-independent discipline of the parallel
-// explorers; see DESIGN.md).
+// Semantics are identical to Set.Visit: first visit wins, and in exact
+// mode a revisit with at least as much budget used is pruned, a
+// revisit with strictly less budget re-explores. Because the outcome
+// of Visit depends only on the key and the budget history of that key
+// — never on which worker asks — the set of "explore" answers over any
+// concurrent schedule equals the serial set's answers when the engines
+// pass a constant budget (the order-independent discipline of the
+// parallel explorers; see DESIGN.md).
 type ShardedSet struct {
 	exact  bool
 	shards [shardCount]shard
 }
 
-// shard is one lock-striped slice of the set. The maps mirror Set's
-// fingerprint/exact modes.
+// shard is one lock-striped slice of the set, in Set's fingerprint or
+// exact mode. A shard's table allocates on its first insert, so an
+// empty ShardedSet costs no table memory.
 type shard struct {
 	mu       sync.Mutex
-	fp       map[uint64]int
+	fps      table
 	exact    map[string]int
 	keyBytes int64 // exact mode: retained key bytes of this shard
 }
@@ -50,11 +51,9 @@ type shard struct {
 // trade-off as NewSet).
 func NewShardedSet(exact bool) *ShardedSet {
 	s := &ShardedSet{exact: exact}
-	for i := range s.shards {
-		if exact {
+	if exact {
+		for i := range s.shards {
 			s.shards[i].exact = make(map[string]int)
-		} else {
-			s.shards[i].fp = make(map[uint64]int)
 		}
 	}
 	return s
@@ -69,42 +68,27 @@ func (s *ShardedSet) Exact() bool { return s.exact }
 // buffer (it is copied only on a new exact-mode insert). The probe
 // path is allocation-free in both modes.
 func (s *ShardedSet) Visit(key []byte, budget int) bool {
-	h := Hash64(key)
-	sh := &s.shards[h>>shardShift]
-	sh.mu.Lock()
-	ok := sh.visitLocked(s.exact, h, key, budget)
-	sh.mu.Unlock()
-	return ok
+	return s.VisitHash(Hash64(key), key, budget)
 }
 
-// VisitHash is Visit for callers that already computed Hash64(key) —
-// the parallel explorers hash once and reuse the fingerprint for both
-// shard selection and violation tie-breaking.
+// VisitHash is Visit for callers that fingerprint their states
+// themselves (see Set.VisitHash): the parallel explorers reuse the
+// fingerprint for shard selection and violation tie-breaking. In
+// fingerprint mode key may be nil.
 func (s *ShardedSet) VisitHash(h uint64, key []byte, budget int) bool {
+	if !s.exact && budget != 0 {
+		panic(errBudget)
+	}
 	sh := &s.shards[h>>shardShift]
 	sh.mu.Lock()
-	ok := sh.visitLocked(s.exact, h, key, budget)
+	var ok bool
+	if s.exact {
+		ok = visitExact(sh.exact, &sh.keyBytes, key, budget)
+	} else {
+		ok = sh.fps.insert(h)
+	}
 	sh.mu.Unlock()
 	return ok
-}
-
-func (sh *shard) visitLocked(exact bool, h uint64, key []byte, budget int) bool {
-	if exact {
-		prev, ok := sh.exact[string(key)]
-		if ok && prev <= budget {
-			return false
-		}
-		if !ok {
-			sh.keyBytes += int64(len(key))
-		}
-		sh.exact[string(key)] = budget
-		return true
-	}
-	if prev, ok := sh.fp[h]; ok && prev <= budget {
-		return false
-	}
-	sh.fp[h] = budget
-	return true
 }
 
 // Len returns the number of distinct states recorded, summed across
@@ -119,7 +103,7 @@ func (s *ShardedSet) Len() int {
 		if s.exact {
 			n += len(sh.exact)
 		} else {
-			n += len(sh.fp)
+			n += sh.fps.len()
 		}
 		sh.mu.Unlock()
 	}
@@ -139,7 +123,7 @@ func (s *ShardedSet) ApproxBytes() int64 {
 		if s.exact {
 			b += sh.keyBytes + int64(len(sh.exact))*exactEntryBytes
 		} else {
-			b += int64(len(sh.fp)) * fpEntryBytes
+			b += int64(sh.fps.len()) * fpEntryBytes
 		}
 		sh.mu.Unlock()
 	}
