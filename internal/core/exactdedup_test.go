@@ -8,7 +8,9 @@ import (
 
 // TestRunExactDedupParity checks Options.ExactDedup reaches the SC
 // backend through every tier (probe ladder and final run) without
-// changing the pipeline's verdicts or search sizes.
+// changing the pipeline's verdicts or search sizes. Equal counts also
+// guard the fingerprint: its slots must not drift from the exact key's,
+// and it must not collide on these spaces.
 func TestRunExactDedupParity(t *testing.T) {
 	for _, tc := range []struct {
 		bench string
@@ -16,6 +18,10 @@ func TestRunExactDedupParity(t *testing.T) {
 	}{
 		{"peterson_0", Unsafe},
 		{"sim_dekker_4", Safe}, // safe: exercises the final uncapped run
+		{"peterson_0(3)", Unsafe},
+		{"szymanski_1(3)", Unsafe},
+		{"tbar_4(3)", Safe},
+		{"peterson_4(2)", Safe},
 	} {
 		p, err := benchmarks.ByName(tc.bench)
 		if err != nil {

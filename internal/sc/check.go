@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"ravbmc/internal/fp"
-	"ravbmc/internal/lang"
 	"ravbmc/internal/obs"
 	"ravbmc/internal/trace"
 )
@@ -238,11 +237,10 @@ type scChecker struct {
 	opts      Options
 	in        *interp
 	ctx       context.Context // nil when the search has no deadline/cancel scope
-	visited   *fp.Set         // state key -> min contexts used
-	keyBuf    []byte
-	deadBuf   []int // reused dead-register scratch for dedupKey
-	steps     int   // DFS entries, for cancellation sampling
-	dedupHits int   // visited-set hits, for telemetry flushes
+	visited   *fp.Set         // dedup fingerprints (exact keys under ExactDedup)
+	keyBuf    []byte          // exact-mode key scratch
+	steps     int             // DFS entries, for cancellation sampling
+	dedupHits int             // visited-set hits, for telemetry flushes
 	result    Result
 	exhausted bool
 
@@ -420,14 +418,10 @@ func (e *scChecker) expand(c *Config, contexts, depth int) bool {
 	// mirroring ra): under a context bound the contexts-used coordinate
 	// is folded into the key and the Visit budget is constant, so
 	// whether a node is explored depends only on the node itself, never
-	// on discovery order. appendKey ends with the current-process value,
-	// so one more appended value stays injective within a run.
-	e.keyBuf, e.deadBuf = e.sys.dedupKey(c, e.keyBuf[:0], e.deadBuf)
-	if e.opts.MaxContexts > 0 {
-		e.keyBuf = appendVal(e.keyBuf, lang.Value(contexts))
-	}
-	h := fp.Hash64(e.keyBuf)
-	if !e.visited.VisitHash(h, e.keyBuf, 0) {
+	// on discovery order.
+	h, key := e.sys.dedup(c, e.opts.ctxCoord(contexts), e.visited.Exact(), e.keyBuf[:0])
+	e.keyBuf = key
+	if !e.visited.VisitHash(h, key, 0) {
 		e.dedupHits++
 		e.cDedupHits.Inc()
 		return false
@@ -501,6 +495,15 @@ func (e *scChecker) violation(oc outcome, step pathStep, vfp uint64) bool {
 		e.setWitness(&step)
 	}
 	return false
+}
+
+// ctxCoord is the contexts coordinate of the dedup key: the count
+// under a context bound, none (-1) without one.
+func (o *Options) ctxCoord(contexts int) int {
+	if o.MaxContexts > 0 {
+		return contexts
+	}
+	return -1
 }
 
 func (e *scChecker) targetReached(c *Config) bool {

@@ -104,7 +104,7 @@ func (s *System) compileExpr(e lang.Expr, regs map[string]int) int32 {
 
 // procRegs returns process p's register file within c.
 func (s *System) procRegs(c *Config, p int) []lang.Value {
-	return c.regs[s.regOff[p] : s.regOff[p]+len(s.Prog.Procs[p].Regs)]
+	return c.regs[s.regOff[p]:s.regOff[p+1]]
 }
 
 // eval evaluates compiled expression i over a process's register file

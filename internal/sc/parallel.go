@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"ravbmc/internal/fp"
-	"ravbmc/internal/lang"
 	"ravbmc/internal/obs"
 	"ravbmc/internal/sched"
 	"ravbmc/internal/trace"
@@ -85,11 +84,10 @@ type scParallel struct {
 	stopTrace     *trace.Trace
 	targetReached bool
 
-	// Per-worker interpreters, encode buffers and scan orders: the
-	// zero-alloc encode+probe guarantee holds per worker.
+	// Per-worker interpreters, exact-key buffers and scan orders: the
+	// zero-alloc probe guarantee holds per worker.
 	interps []*interp
 	bufs    [][]byte
-	deads   [][]int
 	orders  [][]int
 
 	cStates, cTransitions    *obs.Counter
@@ -115,7 +113,6 @@ func (s *System) checkParallel(opts Options, workers int) Result {
 		visited: fp.NewShardedSet(opts.ExactDedup),
 		interps: make([]*interp, workers),
 		bufs:    make([][]byte, workers),
-		deads:   make([][]int, workers),
 		orders:  make([][]int, workers),
 	}
 	for w := range p.interps {
@@ -218,12 +215,8 @@ func (p *scParallel) expand(ctx context.Context, w int, it scItem, push func(scI
 	in := p.interps[w]
 	// Every child is built by the end of the expansion: park the item.
 	defer in.release(it.cfg)
-	buf, dead := p.sys.dedupKey(it.cfg, p.bufs[w][:0], p.deads[w])
-	if p.opts.MaxContexts > 0 {
-		buf = appendVal(buf, lang.Value(it.contexts))
-	}
-	p.bufs[w], p.deads[w] = buf, dead
-	h := fp.Hash64(buf)
+	h, buf := p.sys.dedup(it.cfg, p.opts.ctxCoord(it.contexts), p.visited.Exact(), p.bufs[w][:0])
+	p.bufs[w] = buf
 	if !p.visited.VisitHash(h, buf, 0) {
 		p.dedupHits.Add(1)
 		p.cDedupHits.Inc()

@@ -35,27 +35,26 @@ func TestCheckDedupModeParity(t *testing.T) {
 	}
 }
 
-// TestCheckDedupProbeZeroAllocs guards the checker's hot path: key
-// encoding into the reused buffer plus a visited-set probe is
-// allocation-free in both modes.
+// TestCheckDedupProbeZeroAllocs guards the checker's hot path: the
+// fingerprint (plus, in exact mode, the key encoded into the reused
+// buffer) and a visited-set probe are allocation-free in both modes.
 func TestCheckDedupProbeZeroAllocs(t *testing.T) {
 	if fp.RaceEnabled {
 		t.Skip("allocation guards are meaningless under -race")
 	}
 	sys := NewSystem(lang.MustCompile(mustSB()))
-	c := sys.Init()
+	c := sys.InitialConfigs()[0]
 	for _, exact := range []bool{false, true} {
 		set := fp.NewSet(exact)
 		buf := make([]byte, 0, 256)
-		var dead []int
-		buf, dead = sys.dedupKey(c, buf[:0], dead)
-		set.Visit(buf, 0)
+		h, buf := sys.dedup(c, 3, exact, buf[:0])
+		set.VisitHash(h, buf, 0)
 		allocs := testing.AllocsPerRun(500, func() {
-			buf, dead = sys.dedupKey(c, buf[:0], dead[:0])
-			set.Visit(buf, 0)
+			h, buf = sys.dedup(c, 3, exact, buf[:0])
+			set.VisitHash(h, buf, 0)
 		})
 		if allocs != 0 {
-			t.Errorf("exact=%v: %v allocs per encode+probe, want 0", exact, allocs)
+			t.Errorf("exact=%v: %v allocs per fingerprint+probe, want 0", exact, allocs)
 		}
 	}
 }

@@ -402,8 +402,8 @@ func (e *scChecker) expandReduced(c *Config, depth int, sleep uint64) bool {
 			return true
 		}
 	}
-	e.keyBuf, e.deadBuf = e.sys.dedupKey(c, e.keyBuf[:0], e.deadBuf)
-	h := fp.Hash64(e.keyBuf)
+	h, key := e.sys.dedup(c, -1, e.rmEx != nil, e.keyBuf[:0])
+	e.keyBuf = key
 	pset := e.persistentSet(c)
 	var explore, exploredBefore uint64
 	prev, revisit := e.lookupMask(h)

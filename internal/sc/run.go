@@ -71,7 +71,8 @@ const maxLocalSteps = 1 << 16
 // that fail an assume inside an atomic section are discarded (the atomic
 // transition does not exist for those guesses); a failed assume outside
 // an atomic section leaves the process parked at the assume. The result
-// is valid until the next macroStep call.
+// is valid until the next macroStep call. Each non-violating outcome's
+// fingerprint sum is derived from c's.
 func (in *interp) macroStep(c *Config, p int) []outcome {
 	d := in.clone(c)
 	d.cur = p
@@ -80,12 +81,18 @@ func (in *interp) macroStep(c *Config, p int) []outcome {
 	in.acc = in.acc[:0]
 	in.accOut = in.accOut[:0]
 	in.run(d, p, 0, true, 0)
+	for _, oc := range in.out {
+		if !oc.violation {
+			in.sys.stepHash(oc.cfg, c, p)
+		}
+	}
 	return in.out
 }
 
 // initClosure runs the local prefix of every process (before the first
 // visible operation), branching on nondeterminism. It returns the set of
-// quiescent initial configurations, in a deterministic order.
+// quiescent initial configurations, in a deterministic order, with
+// their fingerprint sums computed from scratch.
 func (in *interp) initClosure(c *Config) []outcome {
 	configs := []outcome{{cfg: in.clone(c)}}
 	for p := range in.sys.Prog.Procs {
@@ -102,6 +109,11 @@ func (in *interp) initClosure(c *Config) []outcome {
 			next = append(next, in.out...)
 		}
 		configs = next
+	}
+	for _, oc := range configs {
+		if !oc.violation {
+			oc.cfg.h = in.sys.hash(oc.cfg)
+		}
 	}
 	return configs
 }

@@ -18,7 +18,9 @@ package sc
 
 import (
 	"encoding/binary"
+	"iter"
 
+	"ravbmc/internal/fp"
 	"ravbmc/internal/lang"
 )
 
@@ -33,11 +35,15 @@ type System struct {
 	Arrays []lang.ArrayDecl
 	RegIdx []map[string]int
 	// arrOff[i] is the offset of array i in Config.arr; arrTotal the
-	// flattened length. regOff likewise for per-process register files.
+	// flattened length. regOff likewise for per-process register files,
+	// with a final regTotal sentinel, so process p's registers are
+	// regs[regOff[p]:regOff[p+1]]. nShared is the number of shared
+	// values (scalars and array cells) at the front of Config.vals.
 	arrOff   []int
 	arrTotal int
 	regOff   []int
 	regTotal int
+	nShared  int
 
 	// code[p] is process p's code with every name resolved to a slot and
 	// every expression compiled into nodes (see expr.go); the
@@ -71,6 +77,8 @@ func NewSystem(cp *lang.CompiledProgram) *System {
 		s.regOff = append(s.regOff, s.regTotal)
 		s.regTotal += len(pr.Regs)
 	}
+	s.regOff = append(s.regOff, s.regTotal)
+	s.nShared = len(cp.Vars) + s.arrTotal
 	for p := range cp.Procs {
 		s.code = append(s.code, s.resolveProc(p))
 	}
@@ -88,6 +96,10 @@ type Config struct {
 	pcs  []int
 	regs []lang.Value // all register files, flattened
 	cur  int          // process holding the context; -1 before the first step
+	// h is the fingerprint sum of the configuration's dedup key: the
+	// sum mod 2^64 of slotHash over keySlots. Set by initClosure and
+	// macroStep, valid at quiescent points only.
+	h uint64
 }
 
 // newConfig allocates a zeroed configuration.
@@ -124,53 +136,23 @@ func (d *Config) copyFrom(c *Config) {
 	copy(d.vals, c.vals)
 	copy(d.pcs, c.pcs)
 	d.cur = c.cur
+	d.h = c.h
 }
 
 // reg returns the flattened index of register ri of process p.
 func (s *System) reg(p, ri int) int { return s.regOff[p] + ri }
 
-// Key returns a canonical binary encoding of the full configuration.
-func (c *Config) Key() string { return string(c.appendKey(nil, nil)) }
-
-// appendKey encodes the configuration into buf; when dead is non-nil it
-// holds, per process, the flattened start offset of the process's
-// registers, bit-complemented (negative) when the process has
-// terminated (its registers are dead and masked out), with a final
-// total-length sentinel.
-func (c *Config) appendKey(buf []byte, dead []int) []byte {
-	for _, v := range c.mem {
-		buf = appendVal(buf, v)
-	}
-	for _, v := range c.arr {
+// Key returns a canonical binary encoding of the full configuration,
+// dead registers included.
+func (c *Config) Key() string {
+	var buf []byte
+	for _, v := range c.vals {
 		buf = appendVal(buf, v)
 	}
 	for _, pc := range c.pcs {
 		buf = appendVal(buf, lang.Value(pc))
 	}
-	if dead == nil {
-		for _, v := range c.regs {
-			buf = appendVal(buf, v)
-		}
-	} else {
-		for p := 0; p < len(dead)-1; p++ {
-			off := dead[p]
-			if off < 0 {
-				buf = append(buf, 0xFD)
-				continue
-			}
-			// A live window ends where the next process's starts,
-			// whether that process is live or not.
-			end := dead[p+1]
-			if end < 0 {
-				end = ^end
-			}
-			for _, v := range c.regs[off:end] {
-				buf = appendVal(buf, v)
-			}
-		}
-	}
-	buf = appendVal(buf, lang.Value(c.cur+1))
-	return buf
+	return string(appendVal(buf, lang.Value(c.cur+1)))
 }
 
 // appendVal encodes one value: 0..250 as a single byte, anything else as
@@ -185,27 +167,123 @@ func appendVal(buf []byte, v lang.Value) []byte {
 	return append(buf, b[:]...)
 }
 
-// DedupKey appends the search key to buf: terminated processes'
-// registers are dead and therefore masked.
-func (s *System) DedupKey(c *Config, buf []byte) []byte {
-	out, _ := s.dedupKey(c, buf, nil)
-	return out
+// The dedup key is a list of slots, each holding one value: index i of
+// Config.vals (a shared scalar, an array cell or a register), the pc of
+// process p at pcSlot(p), the context holder at curSlot, and, under a
+// context bound, the contexts used at ctxSlot. The exact key and the
+// fingerprint sum Config.h range over the same slots, listed once by
+// keySlots.
+func (s *System) pcSlot(p int) int { return s.nShared + s.regTotal + p }
+func (s *System) curSlot() int     { return s.pcSlot(len(s.Prog.Procs)) }
+func (s *System) ctxSlot() int     { return s.curSlot() + 1 }
+
+// keySlots yields the (slot, value) pairs of c's dedup key in key
+// order: shared values, pcs, the registers of live processes, and the
+// context holder. A terminated process's registers are dead and left
+// out; the pcs before them say which register windows follow, so the
+// encoded key stays injective.
+func (s *System) keySlots(c *Config) iter.Seq2[int, lang.Value] {
+	return func(yield func(int, lang.Value) bool) {
+		for i, v := range c.vals[:s.nShared] {
+			if !yield(i, v) {
+				return
+			}
+		}
+		for p, pc := range c.pcs {
+			if !yield(s.pcSlot(p), lang.Value(pc)) {
+				return
+			}
+		}
+		for p, pc := range c.pcs {
+			if s.Prog.Procs[p].Terminated(pc) {
+				continue
+			}
+			for i := s.nShared + s.regOff[p]; i < s.nShared+s.regOff[p+1]; i++ {
+				if !yield(i, c.vals[i]) {
+					return
+				}
+			}
+		}
+		yield(s.curSlot(), lang.Value(c.cur+1))
+	}
 }
 
-// dedupKey is DedupKey with a caller-owned scratch slice for the
-// per-process dead-register offsets; the (possibly grown) scratch is
-// returned for reuse, so hot callers pay no allocation per state.
-func (s *System) dedupKey(c *Config, buf []byte, scratch []int) ([]byte, []int) {
-	dead := scratch[:0]
-	for p := range s.Prog.Procs {
-		if s.Prog.Procs[p].Terminated(c.pcs[p]) {
-			dead = append(dead, ^s.regOff[p])
-		} else {
-			dead = append(dead, s.regOff[p])
+// slotHash is the fingerprint contribution of value v at slot: a
+// bijective mix of a per-slot offset plus the value, so the sum over a
+// key's slots behaves like a random 64-bit function of the key. It has
+// no random seed: fingerprints, and therefore census witnesses, are the
+// same from run to run.
+func slotHash(slot int, v lang.Value) uint64 {
+	return fp.Mix64(uint64(slot+1)*0x9E3779B97F4A7C15 + uint64(v))
+}
+
+// hash returns the fingerprint sum of c computed from scratch.
+func (s *System) hash(c *Config) uint64 {
+	var h uint64
+	for slot, v := range s.keySlots(c) {
+		h += slotHash(slot, v)
+	}
+	return h
+}
+
+// stepHash sets d.h for the outcome d of a macro-step of process p from
+// c. It diffs only what p can change: the shared values, p's registers
+// (all of them leave the key when p terminates), p's pc and the context
+// holder. p is live in c.
+func (s *System) stepHash(d, c *Config, p int) {
+	h := c.h
+	for i, v := range d.vals[:s.nShared] {
+		if old := c.vals[i]; v != old {
+			h += slotHash(i, v) - slotHash(i, old)
 		}
 	}
-	dead = append(dead, s.regTotal)
-	return c.appendKey(buf, dead), dead
+	lo, hi := s.nShared+s.regOff[p], s.nShared+s.regOff[p+1]
+	if s.Prog.Procs[p].Terminated(d.pcs[p]) {
+		for i := lo; i < hi; i++ {
+			h -= slotHash(i, c.vals[i])
+		}
+	} else {
+		for i := lo; i < hi; i++ {
+			if v, old := d.vals[i], c.vals[i]; v != old {
+				h += slotHash(i, v) - slotHash(i, old)
+			}
+		}
+	}
+	if pc, old := d.pcs[p], c.pcs[p]; pc != old {
+		h += slotHash(s.pcSlot(p), lang.Value(pc)) - slotHash(s.pcSlot(p), lang.Value(old))
+	}
+	if d.cur != c.cur {
+		h += slotHash(s.curSlot(), lang.Value(d.cur+1)) - slotHash(s.curSlot(), lang.Value(c.cur+1))
+	}
+	d.h = h
+}
+
+// DedupKey appends the exact search key of c to buf: terminated
+// processes' registers are dead and therefore masked.
+func (s *System) DedupKey(c *Config, buf []byte) []byte {
+	_, buf = s.dedup(c, -1, true, buf)
+	return buf
+}
+
+// dedup returns the visited-set fingerprint of c entered having used
+// ctx contexts and, when exact is set, appends its exact key to buf. A
+// negative ctx means no context bound: the count is left out of both.
+// Every SC engine dedups through here, so the serial, parallel,
+// reduced and witness-regenerating searches agree on fingerprints.
+func (s *System) dedup(c *Config, ctx int, exact bool, buf []byte) (uint64, []byte) {
+	h := c.h
+	if ctx >= 0 {
+		h += slotHash(s.ctxSlot(), lang.Value(ctx))
+	}
+	if exact {
+		for _, v := range s.keySlots(c) {
+			buf = appendVal(buf, v)
+		}
+		if ctx >= 0 {
+			buf = appendVal(buf, lang.Value(ctx))
+		}
+	}
+	return fp.Mix64(h), buf
 }
 
 // Mem returns the value of the named shared variable.
