@@ -63,7 +63,7 @@ func TestObsCountersMatchResult(t *testing.T) {
 	if hits, misses := rep.Counters["sc.dedup_hits"], rep.Counters["sc.dedup_misses"]; misses != int64(res.States) {
 		t.Errorf("dedup misses = %d (hits %d), want one miss per visited state %d", misses, hits, res.States)
 	}
-	if !hasPhase(rep, "validate") || !hasPhase(rep, "translate") {
+	if !hasPhase(rep, "validate") || !hasPhase(rep, "probe.translate") {
 		t.Errorf("report phases missing driver phases: %+v", rep.Phases)
 	}
 }
@@ -80,10 +80,10 @@ func TestUninstrumentedRunHasNoReport(t *testing.T) {
 	}
 }
 
-// TestObsProbeTierOutcomes: a probe-tier hit is recorded iff a probe
-// found the bug — on a SAFE program both probes miss and no hit or tier
-// is recorded; on a probe-caught bug exactly one hit is recorded with
-// its tier and the driver never reaches the final full-bound search.
+// TestObsProbeTierOutcomes: a probe hit is recorded iff the probe found
+// the bug — on a SAFE program the probe misses and no hit is recorded;
+// on a probe-caught bug exactly one hit is recorded and the driver
+// never reaches the final full-bound search.
 // The SAFE run also ends with every planned search round run (rounds
 // the schedule skips are withdrawn from core.deepen_total), and each
 // ladder round's span says how it ended.
@@ -97,12 +97,9 @@ func TestObsProbeTierOutcomes(t *testing.T) {
 		t.Fatalf("mp_safe: got %v", res.Verdict)
 	}
 	c := res.Report.Counters
-	if c["core.probes_run"] != 2 || c["core.probe_misses"] != 2 || c["core.probe_hits"] != 0 {
-		t.Errorf("safe run probe counters = run:%d hit:%d miss:%d, want 2/0/2",
+	if c["core.probes_run"] != 1 || c["core.probe_misses"] != 1 || c["core.probe_hits"] != 0 {
+		t.Errorf("safe run probe counters = run:%d hit:%d miss:%d, want 1/0/1",
 			c["core.probes_run"], c["core.probe_hits"], c["core.probe_misses"])
-	}
-	if tier := res.Report.Gauges["core.probe_hit_tier"]; tier != 0 {
-		t.Errorf("safe run recorded probe hit tier %d", tier)
 	}
 	if !hasPhase(res.Report, "final.search") {
 		t.Errorf("safe verdict requires the final full-bound search; phases = %+v", res.Report.Phases)
@@ -129,10 +126,6 @@ func TestObsProbeTierOutcomes(t *testing.T) {
 		t.Errorf("probe outcomes don't partition runs: hit:%d miss:%d run:%d",
 			c["core.probe_hits"], c["core.probe_misses"], c["core.probes_run"])
 	}
-	tier := res.Report.Gauges["core.probe_hit_tier"]
-	if (c["core.probe_hits"] == 1) != (tier >= 1 && tier <= 2) {
-		t.Errorf("hit tier gauge %d inconsistent with probe_hits %d", tier, c["core.probe_hits"])
-	}
 	if c["core.probe_hits"] == 1 && hasPhase(res.Report, "final.compile") {
 		t.Error("probe hit recorded, but the driver still ran the final pass")
 	}
@@ -153,7 +146,7 @@ func checkDeepenSpans(t *testing.T, roots []*obs.SpanNode) {
 	var walk func([]*obs.SpanNode)
 	walk = func(nodes []*obs.SpanNode) {
 		for _, sp := range nodes {
-			if sp.Name == "probe1.deepen" || sp.Name == "probe2.deepen" {
+			if sp.Name == "probe.deepen" {
 				n++
 				for _, key := range []string{"max_contexts", "reverse", "states"} {
 					if sp.Attrs[key] == "" {

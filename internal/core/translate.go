@@ -60,47 +60,49 @@ type translator struct {
 	vars   []string       // source shared variables, plus _fence if used
 	varID  map[string]int // variable -> id stored in _ms_var
 	stamps map[string]int // variable -> S_x (highest usable time-stamp)
-	opts   variant
+	// probe selects the VBMC driver's under-approximate probe variant:
+	// every write claims a stamp (counterexample paths need tracked
+	// writes anyway, since both publishing and view merging require
+	// exact views), within probeWindow above the view. Its guesses are a
+	// subset of the full translation's, so any counterexample it finds is
+	// a genuine one, while "no bug" falls through to the full translation.
+	probe bool
+	// dropped counts the statements the probe variant leaves out of the
+	// full translation (the untracked-write branches).
+	dropped int
 }
 
-// variant selects an under-approximate restriction of the translation,
-// used by the VBMC driver's probe ladder: a probe explores a subset of
-// the full translation's guesses, so any counterexample it finds is a
-// genuine one, while "no bug" falls through to the full translation.
-type variant struct {
-	// stampWindow restricts a tracked write's stamp to
-	// [view_x_t+1, view_x_t+stampWindow] instead of the full pool
-	// (0 = unrestricted). Near-serial counterexamples live at window 2.
-	stampWindow int
-	// forceTracked drops the untracked-write branch: every write claims
-	// a stamp. Counterexample paths need tracked writes anyway (both
-	// publishing and view merging require exact views).
-	forceTracked bool
-}
+// probeWindow restricts a probe's tracked-write stamp to
+// [view_x_t+1, view_x_t+probeWindow] instead of the full pool:
+// near-serial counterexamples live at window 2.
+const probeWindow = 2
 
 // Translate applies [[.]]_K to an RA-fragment program, returning the SC
 // program whose (K+n)-context-bounded reachability coincides with the
 // K-view-bounded RA reachability of prog. The output size is linear in
 // |prog| and polynomial in K and |X|.
 func Translate(prog *lang.Program, k int) (*lang.Program, error) {
-	return translateVariant(prog, k, variant{})
+	out, _, err := translate(prog, k, false)
+	return out, err
 }
 
-// TranslateProbe returns the under-approximate probe translation used
-// by the driver's first pass (tracked writes, stamp window 2), exposed
-// for diagnostics and ablation benchmarks.
-func TranslateProbe(prog *lang.Program, k int) (*lang.Program, error) {
-	return translateVariant(prog, k, variant{stampWindow: 2, forceTracked: true})
+// TranslateProbe returns the under-approximate probe translation the
+// VBMC driver searches before the full one (tracked writes, stamp window
+// probeWindow). dropped is the number of statements Translate emits that
+// the probe does not, so probe.CountStmts()+dropped is the full
+// translation's statement count without building it.
+func TranslateProbe(prog *lang.Program, k int) (probe *lang.Program, dropped int, err error) {
+	return translate(prog, k, true)
 }
 
-func translateVariant(prog *lang.Program, k int, v variant) (*lang.Program, error) {
+func translate(prog *lang.Program, k int, probe bool) (*lang.Program, int, error) {
 	if k < 0 {
-		return nil, fmt.Errorf("core: negative view bound %d", k)
+		return nil, 0, fmt.Errorf("core: negative view bound %d", k)
 	}
 	if err := prog.ValidateRA(); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	tr := &translator{k: k, varID: map[string]int{}, stamps: map[string]int{}, opts: v}
+	tr := &translator{k: k, varID: map[string]int{}, stamps: map[string]int{}, probe: probe}
 	tr.vars = append(tr.vars, prog.Vars...)
 	if programUsesFence(prog) {
 		tr.vars = append(tr.vars, fenceVar)
@@ -115,7 +117,7 @@ func translateVariant(prog *lang.Program, k int, v variant) (*lang.Program, erro
 			// Every executed CAS/fence permanently consumes a stamp, so
 			// a static stamp pool is only sound when each statement runs
 			// at most once. lang.Unroll establishes that.
-			return nil, fmt.Errorf("core: program %q uses CAS/fence inside loops; unroll it first", prog.Name)
+			return nil, 0, fmt.Errorf("core: program %q uses CAS/fence inside loops; unroll it first", prog.Name)
 		}
 		budget := 2 * k
 		if loopFree {
@@ -154,15 +156,15 @@ func translateVariant(prog *lang.Program, k int, v variant) (*lang.Program, erro
 		}
 		body, err := tr.stmts(pr.Body)
 		if err != nil {
-			return nil, fmt.Errorf("core: process %s: %w", pr.Name, err)
+			return nil, 0, fmt.Errorf("core: process %s: %w", pr.Name, err)
 		}
 		np.Body = append(np.Body, body...)
 		out.Procs = append(out.Procs, np)
 	}
 	if err := out.Validate(); err != nil {
-		return nil, fmt.Errorf("core: translated program invalid: %w", err)
+		return nil, 0, fmt.Errorf("core: translated program invalid: %w", err)
 	}
-	return out, nil
+	return out, tr.dropped, nil
 }
 
 func programUsesFence(p *lang.Program) bool {
@@ -343,10 +345,10 @@ func (tr *translator) updateView(x string) []lang.Stmt {
 func (tr *translator) writeBody(x string, val lang.Expr) []lang.Stmt {
 	sx := lang.Value(tr.stamps[x])
 	var stampChoice []lang.Stmt
-	if w := tr.opts.stampWindow; w > 0 {
+	if tr.probe {
 		// Probe variant: stamp within a small window above the view.
 		stampChoice = []lang.Stmt{
-			lang.NondetS("_ns", 1, lang.Value(w)),
+			lang.NondetS("_ns", 1, probeWindow),
 			lang.AssignS("_ns", lang.Add(lang.R("_vt_"+x), lang.R("_ns"))),
 			lang.AssumeS(lang.Le(lang.R("_ns"), lang.C(sx))),
 		}
@@ -391,7 +393,11 @@ func (tr *translator) writeBody(x string, val lang.Expr) []lang.Stmt {
 		// exists solely so witness lifting sees the write happen.
 		return append([]lang.Stmt{lang.NondetS("_ch", 0, 0)}, untracked...)
 	}
-	if tr.opts.forceTracked {
+	if tr.probe {
+		// Both variants emit stampChoice as three flat statements, so the
+		// probe leaves out exactly the _ch nondet, the if-else and the
+		// untracked branch.
+		tr.dropped += 2 + len(untracked)
 		return tracked
 	}
 	return []lang.Stmt{

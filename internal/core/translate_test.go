@@ -160,7 +160,7 @@ func TestTranslateProbeIsSmaller(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	probe, err := TranslateProbe(mpProgram(), 2)
+	probe, _, err := TranslateProbe(mpProgram(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}

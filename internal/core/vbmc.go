@@ -67,8 +67,8 @@ type Options struct {
 	// losing run within one granule. Composes with Timeout. A cancelled
 	// run reports Inconclusive with TimedOut=true.
 	Ctx context.Context
-	// NoProbes disables the under-approximate probe ladder (the cheap
-	// forced-tracked / small-stamp-window pass run before the full
+	// NoProbes disables the under-approximate probe (the cheap
+	// forced-tracked, small-stamp-window pass searched before the full
 	// translation); used by the ablation benchmarks.
 	NoProbes bool
 	// ExactDedup makes the SC backend's visited set retain full state
@@ -101,14 +101,13 @@ type Options struct {
 	// normally.
 	TMAI bool
 	// Obs, when non-nil, instruments the run: the driver records
-	// per-phase spans (validate, unroll, per-probe translate / compile /
-	// deepen / search, the full translate, and the final compile /
-	// search), per-probe outcome counters ("core.probes_run",
-	// "core.probe_hits", "core.probe_misses", gauge
-	// "core.probe_hit_tier"), and the SC backend adds its own search
-	// counters against the same recorder. The Result then carries
-	// Obs.Report(). A nil recorder disables all of it at the cost of a
-	// nil-check per instrument event.
+	// per-phase spans (validate, unroll, probe.translate / compile /
+	// deepen / search, and on a probe miss the full translate and the
+	// final compile / search), probe outcome counters
+	// ("core.probes_run", "core.probe_hits", "core.probe_misses"), and
+	// the SC backend adds its own search counters against the same
+	// recorder. The Result then carries Obs.Report(). A nil recorder
+	// disables all of it at the cost of a nil-check per instrument event.
 	Obs *obs.Recorder
 }
 
@@ -157,15 +156,17 @@ type Result struct {
 // Lazy CSeq + CBMC.
 //
 // Because the backend is an explicit-state search rather than a SAT
-// solver, the driver first runs two under-approximate probes: the
-// translation restricted to tracked writes with stamps at most 1, then
-// 2, above the view (their guesses are a subset of the full
-// translation's, so a bug they find is genuine), each searched with
-// iterative context deepening (see checkDeepening). If both miss, one
-// full-bound search of the full translation decides, as the paper's
-// one backend call per (K, L). Every round is bounded in states, so
-// Timeout is only the global cutoff: unless it fires, the outcome does
-// not depend on it.
+// solver, the driver first runs one under-approximate probe: the
+// translation restricted to tracked writes with stamps at most
+// probeWindow above the view (its guesses are a subset of the full
+// translation's, so a bug it finds is genuine; see TranslateProbe),
+// searched with iterative context deepening (see checkDeepening). On a
+// hit the full translation is never built: its statement count is the
+// probe's plus the statements the probe dropped. If the probe misses,
+// one full-bound search of the full translation decides, as the
+// paper's one backend call per (K, L). Every round is bounded in
+// states, so Timeout is only the global cutoff: unless it fires, the
+// outcome does not depend on it.
 func Run(prog *lang.Program, opts Options) (Result, error) {
 	rec := opts.Obs
 	span := rec.StartPhase("validate")
@@ -266,55 +267,36 @@ func Run(prog *lang.Program, opts Options) (Result, error) {
 	}
 
 	if !opts.NoProbes {
-		tiers := []struct {
-			v         variant
-			maxStates int
-		}{
-			// Window 1 is a cheap lottery ticket: it catches bugs whose
-			// modification orders follow the merge order, and costs
-			// little when it does not.
-			{variant{stampWindow: 1, forceTracked: true}, 150_000},
-			{variant{stampWindow: 2, forceTracked: true}, 600_000},
+		rec.Counter("core.probes_run").Inc()
+		span = rec.StartPhase("probe.translate")
+		probeProg, dropped, err := TranslateProbe(src, opts.K)
+		span.End()
+		if err != nil {
+			return Result{}, err
 		}
-		for i, tier := range tiers {
-			phase := fmt.Sprintf("probe%d", i+1)
-			rec.Counter("core.probes_run").Inc()
-			span = rec.StartPhase(phase + ".translate")
-			probeProg, err := translateVariant(src, opts.K, tier.v)
-			span.End()
-			if err != nil {
-				return Result{}, err
-			}
-			probeOpts := sc.Options{MaxContexts: bound, MaxStates: tier.maxStates, Deadline: deadline, Ctx: opts.Ctx, ExactDedup: opts.ExactDedup, Reduce: opts.Reduce, Workers: opts.Workers, StealSeed: opts.StealSeed, Obs: rec}
-			if opts.MaxStates > 0 && opts.MaxStates < probeOpts.MaxStates {
-				probeOpts.MaxStates = opts.MaxStates
-			}
-			probeStart := time.Now()
-			res := checkDeepening(probeProg, probeOpts, true, rec, phase)
-			probeSecs := time.Since(probeStart).Seconds()
-			rec.Histogram("core.probe_seconds", obs.DurationBuckets).Observe(probeSecs)
-			if probeSecs > 0 && res.States > 0 {
-				rec.Histogram("core.probe_states_per_sec", obs.RateBuckets).
-					Observe(float64(res.States) / probeSecs)
-			}
-			out.States += res.States
-			out.Transitions += res.Transitions
-			if res.Violation {
-				rec.Counter("core.probe_hits").Inc()
-				rec.Gauge("core.probe_hit_tier").Set(int64(i + 1))
-				out.Verdict = Unsafe
-				out.Trace = res.Trace
-				span = rec.StartPhase("translate")
-				translated, terr := Translate(src, opts.K)
-				span.End()
-				if terr == nil {
-					out.TranslatedStmts = translated.CountStmts()
-					rec.Gauge("translate.stmts").Set(int64(out.TranslatedStmts))
-				}
-				return finish(out), nil
-			}
-			rec.Counter("core.probe_misses").Inc()
+		probeOpts := sc.Options{MaxContexts: bound, MaxStates: probeCap, Deadline: deadline, Ctx: opts.Ctx, ExactDedup: opts.ExactDedup, Reduce: opts.Reduce, Workers: opts.Workers, StealSeed: opts.StealSeed, Obs: rec}
+		if opts.MaxStates > 0 && opts.MaxStates < probeCap {
+			probeOpts.MaxStates = opts.MaxStates
 		}
+		probeStart := time.Now()
+		res := checkDeepening(probeProg, probeOpts, true, rec, "probe")
+		probeSecs := time.Since(probeStart).Seconds()
+		rec.Histogram("core.probe_seconds", obs.DurationBuckets).Observe(probeSecs)
+		if probeSecs > 0 && res.States > 0 {
+			rec.Histogram("core.probe_states_per_sec", obs.RateBuckets).
+				Observe(float64(res.States) / probeSecs)
+		}
+		out.States += res.States
+		out.Transitions += res.Transitions
+		if res.Violation {
+			rec.Counter("core.probe_hits").Inc()
+			out.Verdict = Unsafe
+			out.Trace = res.Trace
+			out.TranslatedStmts = probeProg.CountStmts() + dropped
+			rec.Gauge("translate.stmts").Set(int64(out.TranslatedStmts))
+			return finish(out), nil
+		}
+		rec.Counter("core.probe_misses").Inc()
 	}
 
 	span = rec.StartPhase("translate")
@@ -349,10 +331,14 @@ func Run(prog *lang.Program, opts Options) (Result, error) {
 	return finish(out), nil
 }
 
-// ladderCap is the per-round state budget of a probe's deepening
+// ladderCap is the per-round state budget of the probe's deepening
 // ladder: no single scheduling bias may starve the others, and a pair
-// of rounds that both reach it ends the probe.
-const ladderCap = 150_000
+// of rounds that both reach it ends the probe. probeCap bounds the
+// probe's full-bound round.
+const (
+	ladderCap = 150_000
+	probeCap  = 600_000
+)
 
 // checkDeepening compiles the translated program and model-checks it.
 // The final pass (ladder false) is one full-bound search. A probe pass

@@ -218,8 +218,8 @@ func SCDiff(prog *lang.Program, opts sc.Options, workers int, seed int64) string
 }
 
 // CoreDiff runs the full VBMC pipeline serially and with parallel
-// inner searches and compares the verdict (core's restart ladder and
-// probe tiers make intermediate counts inherently budget-dependent, so
+// inner searches and compares the verdict (core's deepening ladder and
+// probe make intermediate counts inherently budget-dependent, so
 // the contract at this layer is verdict equality plus a validated
 // witness).
 func CoreDiff(prog *lang.Program, opts core.Options, workers int, seed int64) string {

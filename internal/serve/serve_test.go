@@ -171,10 +171,10 @@ func TestServeBackpressure(t *testing.T) {
 	t.Cleanup(func() { s.Close(); ts.Close() })
 
 	// Distinct slow requests so singleflight cannot collapse them: the
-	// buggy peterson variant at large K and unroll runs for tens of
-	// seconds, and different K yield different cache keys.
+	// SAFE fenced lamport protocol has a space that takes well over a
+	// minute to exhaust, and different K yield different cache keys.
 	body := func(i int) string {
-		b, _ := json.Marshal(VerifyRequest{Bench: "peterson_1", Mode: cache.ModeVBMC, K: 5 + i, Unroll: 6, TimeoutSeconds: 60})
+		b, _ := json.Marshal(VerifyRequest{Bench: "lamport_4", Mode: cache.ModeVBMC, K: 2 + i, Unroll: 1, TimeoutSeconds: 60})
 		return string(b)
 	}
 	done := make(chan struct{}, 2)
@@ -223,7 +223,7 @@ func TestServeDrainNoLeaks(t *testing.T) {
 	done := make(chan int, 4)
 	for i := 0; i < 4; i++ {
 		go func(i int) {
-			b, _ := json.Marshal(VerifyRequest{Bench: "peterson_1", Mode: cache.ModeVBMC, K: 5 + i, Unroll: 6, TimeoutSeconds: 60})
+			b, _ := json.Marshal(VerifyRequest{Bench: "lamport_4", Mode: cache.ModeVBMC, K: 2 + i, Unroll: 1, TimeoutSeconds: 60})
 			resp, err := http.Post(ts.URL+"/v1/verify", "application/json", strings.NewReader(string(b)))
 			if err == nil {
 				resp.Body.Close()
@@ -281,7 +281,7 @@ func TestServeCancelMidRunReleasesSlot(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		b, _ := json.Marshal(VerifyRequest{Bench: "peterson_1", Mode: cache.ModeVBMC, K: 5, Unroll: 6, TimeoutSeconds: 120})
+		b, _ := json.Marshal(VerifyRequest{Bench: "lamport_4", Mode: cache.ModeVBMC, K: 2, Unroll: 1, TimeoutSeconds: 120})
 		req, _ := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/verify", strings.NewReader(string(b)))
 		req.Header.Set("Content-Type", "application/json")
 		_, err := http.DefaultClient.Do(req)

@@ -272,7 +272,7 @@ EOF
   # header) keeps it alive-but-draining through the peer-filled pass.
   curl -fsS -X POST "$vbase/v1/verify" -H 'Content-Type: application/json' \
     -H 'X-Ravbmc-Forwarded-From: bench' \
-    -d '{"bench":"peterson_1","mode":"vbmc","k":5,"unroll":6,"timeout_seconds":120}' \
+    -d '{"bench":"lamport_4","mode":"vbmc","k":2,"unroll":1,"timeout_seconds":120}' \
     >/dev/null 2>&1 &
   cpark=$!
   for _ in $(seq 1 50); do

@@ -178,7 +178,7 @@ echo "victim: $victim at $victim_base" >&2
 # cache reads while /readyz says 503.
 curl -fsS -X POST "$victim_base/v1/verify" -H 'Content-Type: application/json' \
   -H 'X-Ravbmc-Forwarded-From: smoke' \
-  -d '{"bench":"peterson_1","mode":"vbmc","k":5,"unroll":6,"timeout_seconds":120}' \
+  -d '{"bench":"lamport_4","mode":"vbmc","k":2,"unroll":1,"timeout_seconds":120}' \
   >/dev/null 2>&1 &
 park_pid=$!
 for _ in $(seq 1 50); do
