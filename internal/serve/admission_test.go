@@ -57,7 +57,7 @@ func TestSpentDeadlineNotRunUnbounded(t *testing.T) {
 	}
 
 	xc := cache.ExecConfig{Timeout: time.Minute}
-	_, _, _, err := s.runMinK(context.Background(), req, prog, past, xc)
+	_, _, err := s.runMinK(context.Background(), req, prog, past, xc)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("mink with a spent deadline: err = %v, want deadline exceeded", err)
 	}

@@ -17,32 +17,15 @@ import (
 // Client speaks the vbmcd API; the zero value is unusable, construct
 // with NewClient.
 type Client struct {
-	// base is the primary endpoint (GETs and streams go here); bases is
-	// the full failover list, base first.
-	base  string
-	bases []string
-	http  *http.Client
+	base string
+	http *http.Client
 }
 
-// NewClient targets one vbmcd base URL ("http://host:port") or a
-// comma-separated list of them ("http://n1:8080,http://n2:8080"). With
-// a list, verification POSTs fail over to the next endpoint when one
-// is unreachable or draining — any cluster node can serve any request,
-// so the client needs no ownership knowledge. GETs (version, event
-// streams) use the first endpoint. The HTTP client carries no timeout
-// of its own: the per-call context (and the server's compute deadline)
-// governs.
+// NewClient targets one vbmcd base URL ("http://host:port"). The HTTP
+// client carries no timeout of its own: the per-call context (and the
+// server's compute deadline) governs.
 func NewClient(base string) *Client {
-	var bases []string
-	for _, b := range strings.Split(base, ",") {
-		if b = strings.TrimSpace(b); b != "" {
-			bases = append(bases, strings.TrimRight(b, "/"))
-		}
-	}
-	if len(bases) == 0 {
-		bases = []string{""}
-	}
-	return &Client{base: bases[0], bases: bases, http: &http.Client{}}
+	return &Client{base: strings.TrimRight(base, "/"), http: &http.Client{}}
 }
 
 // Verify runs POST /v1/verify.
@@ -143,8 +126,8 @@ func (c *Client) StreamEvents(ctx context.Context, id string, fn func(event stri
 const maxResponseBytes = 64 << 20
 
 // postAttempts bounds the retry loop: enough patience to ride out a
-// drain grace period or a busy burst, finite so a dead cluster
-// surfaces as an error rather than a hang.
+// drain grace period or a busy burst, finite so a server that never
+// recovers surfaces as an error rather than a hang.
 const postAttempts = 6
 
 func (c *Client) post(ctx context.Context, path string, req VerifyRequest) (VerifyResponse, error) {
@@ -152,13 +135,9 @@ func (c *Client) post(ctx context.Context, path string, req VerifyRequest) (Veri
 	if err != nil {
 		return VerifyResponse{}, err
 	}
-	// ep rotates through the endpoint list on failover; retries that
-	// expect the same endpoint to recover (429 backoff) stay put.
-	ep := 0
 	var lastErr error
-	for attempt := 0; attempt < postAttempts+len(c.bases); attempt++ {
-		base := c.bases[ep%len(c.bases)]
-		hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, base+path, bytes.NewReader(payload))
+	for attempt := 0; attempt < postAttempts; attempt++ {
+		hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(payload))
 		if err != nil {
 			return VerifyResponse{}, err
 		}
@@ -167,12 +146,6 @@ func (c *Client) post(ctx context.Context, path string, req VerifyRequest) (Veri
 		if err != nil {
 			if ctx.Err() != nil {
 				return VerifyResponse{}, ctx.Err()
-			}
-			// Unreachable: fail over when there is somewhere to go.
-			lastErr = err
-			if len(c.bases) > 1 {
-				ep++
-				continue
 			}
 			return VerifyResponse{}, err
 		}
@@ -192,15 +165,9 @@ func (c *Client) post(ctx context.Context, path string, req VerifyRequest) (Veri
 		case resp.StatusCode == http.StatusTooManyRequests,
 			resp.StatusCode == http.StatusServiceUnavailable:
 			// 429 is backpressure, 503 is a draining (or restarting)
-			// server; both are transient. With other endpoints to try, a
-			// 503 fails over immediately — a peer can serve right now;
-			// otherwise wait out the server's Retry-After (fallback: a
-			// growing backoff) and try again.
+			// server; both are transient. Wait out the server's
+			// Retry-After (fallback: a growing backoff) and try again.
 			lastErr = statusError(body, resp.StatusCode)
-			if resp.StatusCode == http.StatusServiceUnavailable && len(c.bases) > 1 {
-				ep++
-				continue
-			}
 			wait := time.Duration(attempt+1) * 250 * time.Millisecond
 			if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs >= 0 {
 				wait = time.Duration(secs) * time.Second
@@ -214,7 +181,7 @@ func (c *Client) post(ctx context.Context, path string, req VerifyRequest) (Veri
 			return VerifyResponse{}, statusError(body, resp.StatusCode)
 		}
 	}
-	return VerifyResponse{}, fmt.Errorf("serve: request failed after %d attempts: %w", postAttempts+len(c.bases), lastErr)
+	return VerifyResponse{}, fmt.Errorf("serve: request failed after %d attempts: %w", postAttempts, lastErr)
 }
 
 // statusError shapes a non-2xx reply into an error, surfacing the

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -23,10 +25,6 @@ type RunRecord struct {
 	// Endpoint is "verify" or "mink"; Mode is the cache mode requested.
 	Endpoint string `json:"endpoint"`
 	Mode     string `json:"mode,omitempty"`
-	// Node is the cluster node that served the run: this node's own ID
-	// for local executions, the owner's ID when the run was forwarded,
-	// "" on a solo daemon.
-	Node string `json:"node,omitempty"`
 	// Batch is the batch ID when this run was one item of a /v1/batch
 	// fan-out, "" for direct requests.
 	Batch string `json:"batch,omitempty"`
@@ -71,6 +69,10 @@ type RunRecord struct {
 	// run's engine execution; populated in detail responses and SSE
 	// replays, omitted from /v1/runs summaries.
 	Search *obs.SearchSeries `json:"search,omitempty"`
+
+	// seq orders the record in the ledger: the sequence number NewID
+	// minted into ID.
+	seq int64
 }
 
 // SlowDump is what the flight recorder captures when a run exceeds the
@@ -90,19 +92,25 @@ type SlowDump struct {
 }
 
 // Ledger is the daemon's bounded run history: a ring of the most
-// recent RunRecords, indexed by run ID, with an optional JSONL audit
-// stream. All methods are safe for concurrent use; the ring never
-// exceeds its capacity — the oldest record is evicted (and its ID
-// forgotten, so /v1/runs/{id} 404s) when a new one arrives full.
+// recently minted RunRecords, indexed by run ID, with an optional JSONL
+// audit stream. All methods are safe for concurrent use; the ring never
+// exceeds its capacity — the oldest-minted record is evicted (and its
+// ID forgotten, so /v1/runs/{id} 404s) when a new one arrives full.
+//
+// Runs mint their IDs and enter the ring in two steps, so concurrent
+// runs can arrive out of mint order; Add places each record by its
+// minted sequence, which keeps the ring sorted oldest-minted first.
 type Ledger struct {
 	mu     sync.Mutex
 	cap    int
 	seq    int64
 	prefix string
-	ring   []*RunRecord // ring buffer; ring[head] is the next slot
-	head   int
-	count  int
-	byID   map[string]*RunRecord
+	// ring holds count records in mint order, the oldest at
+	// ring[first].
+	ring  []*RunRecord
+	first int
+	count int
+	byID  map[string]*RunRecord
 	// aliases maps caller-chosen client_ref strings to run IDs (latest
 	// binding wins); entries die with their record's eviction.
 	aliases   map[string]string
@@ -154,23 +162,52 @@ func (l *Ledger) NewBatchID() string {
 	return id
 }
 
-// Add inserts a record, evicting the oldest when full.
+// Add inserts a record in mint order, evicting the oldest-minted one
+// when full. A record minted before everything a full ring holds is
+// itself the oldest, and is evicted on arrival.
 func (l *Ledger) Add(rec *RunRecord) {
 	l.mu.Lock()
-	if old := l.ring[l.head]; old != nil {
-		delete(l.byID, old.ID)
-		if old.ClientRef != "" && l.aliases[old.ClientRef] == old.ID {
-			delete(l.aliases, old.ClientRef)
-		}
+	defer l.mu.Unlock()
+	rec.seq = l.mintedSeq(rec.ID)
+	if l.count == l.cap {
+		oldest := l.ring[l.first]
 		l.evictions++
+		if rec.seq < oldest.seq {
+			return
+		}
+		delete(l.byID, oldest.ID)
+		if oldest.ClientRef != "" && l.aliases[oldest.ClientRef] == oldest.ID {
+			delete(l.aliases, oldest.ClientRef)
+		}
+		l.ring[l.first] = nil
+		l.first = (l.first + 1) % l.cap
+		l.count--
 	}
-	l.ring[l.head] = rec
+	// Shift newer-minted records up one slot; a run that arrived in
+	// order moves none.
+	i := l.count
+	for ; i > 0 && l.at(i-1).seq > rec.seq; i-- {
+		l.ring[(l.first+i)%l.cap] = l.at(i - 1)
+	}
+	l.ring[(l.first+i)%l.cap] = rec
+	l.count++
 	l.byID[rec.ID] = rec
-	l.head = (l.head + 1) % l.cap
-	if l.count < l.cap {
-		l.count++
+}
+
+// at returns the i-th oldest retained record. Callers hold l.mu.
+func (l *Ledger) at(i int) *RunRecord { return l.ring[(l.first+i)%l.cap] }
+
+// mintedSeq returns the sequence number NewID minted into id. A record
+// whose ID this ledger did not mint is ordered as if minted on arrival.
+// Callers hold l.mu.
+func (l *Ledger) mintedSeq(id string) int64 {
+	if digits, ok := strings.CutPrefix(id, "r-"+l.prefix+"-"); ok {
+		if n, err := strconv.ParseInt(digits, 10, 64); err == nil {
+			return n
+		}
 	}
-	l.mu.Unlock()
+	l.seq++
+	return l.seq
 }
 
 // Alias binds a caller-chosen reference to a run ID, so a client can
@@ -269,8 +306,8 @@ func (l *Ledger) Get(id string) (RunRecord, bool) {
 	return *rec, true
 }
 
-// Recent returns copies of the newest n records (all of them when
-// n <= 0), newest first, with the span trees and slow dumps elided —
+// Recent returns copies of the newest-minted n records (all of them
+// when n <= 0), newest first, with the span trees and slow dumps elided —
 // the /v1/runs summary view.
 func (l *Ledger) Recent(n int) []RunRecord {
 	l.mu.Lock()
@@ -280,8 +317,7 @@ func (l *Ledger) Recent(n int) []RunRecord {
 	}
 	out := make([]RunRecord, 0, n)
 	for i := 1; i <= n; i++ {
-		rec := l.ring[(l.head-i+l.cap*2)%l.cap]
-		sum := *rec
+		sum := *l.at(l.count - i)
 		sum.Spans = nil
 		sum.SlowDump = nil
 		sum.Search = nil

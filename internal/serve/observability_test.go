@@ -273,6 +273,43 @@ func TestLedgerBoundsConcurrent(t *testing.T) {
 	}
 }
 
+// TestLedgerMintOrder adds records out of mint order, as concurrent
+// runs can: the ring keeps them newest-first by minted sequence, and a
+// record minted before everything a full ring holds is evicted on
+// arrival.
+func TestLedgerMintOrder(t *testing.T) {
+	l := NewLedger(2, nil)
+	a, b, c := l.NewID(), l.NewID(), l.NewID()
+	for _, id := range []string{b, c, a} {
+		l.Add(&RunRecord{ID: id, Status: "running"})
+	}
+	var got []string
+	for _, r := range l.Recent(0) {
+		got = append(got, r.ID)
+	}
+	if want := []string{c, b}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("recent = %v, want %v", got, want)
+	}
+	if _, ok := l.Get(a); ok {
+		t.Errorf("%s, minted first, survived arrival in a full ring", a)
+	}
+	if n := l.Evictions(); n != 1 {
+		t.Errorf("evictions = %d, want 1", n)
+	}
+
+	// Mid-ring insertion: d arrives after e and lands behind it.
+	d, e := l.NewID(), l.NewID()
+	l.Add(&RunRecord{ID: e, Status: "running"})
+	l.Add(&RunRecord{ID: d, Status: "running"})
+	got = got[:0]
+	for _, r := range l.Recent(0) {
+		got = append(got, r.ID)
+	}
+	if want := []string{e, d}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("recent = %v, want %v", got, want)
+	}
+}
+
 // TestSlowDumpExactlyOnce races many SetSlowDump calls for one run;
 // exactly one must win.
 func TestSlowDumpExactlyOnce(t *testing.T) {

@@ -34,6 +34,8 @@
 package ravbmc
 
 import (
+	"fmt"
+
 	"ravbmc/internal/axiom"
 	"ravbmc/internal/core"
 	"ravbmc/internal/lang"
@@ -137,9 +139,18 @@ func MustParse(src string) *Program { return parser.MustParse(src) }
 func VBMC(p *Program, opts VBMCOptions) (VBMCResult, error) { return core.Run(p, opts) }
 
 // Translate applies the code-to-code translation [[.]]_K and returns the
-// SC program, for inspection or use with other SC backends. The input
-// must be loop-free (use Unroll first).
-func Translate(p *Program, k int) (*Program, error) { return core.Translate(p, k) }
+// validated SC program, for inspection or use with other SC backends.
+// The input must be loop-free (use Unroll first).
+func Translate(p *Program, k int) (*Program, error) {
+	out, err := core.Translate(p, k)
+	if err != nil {
+		return nil, err
+	}
+	if err := out.Validate(); err != nil {
+		return nil, fmt.Errorf("ravbmc: translated program invalid: %w", err)
+	}
+	return out, nil
+}
 
 // ExploreRA runs the exhaustive RA explorer (the oracle): exact for
 // loop-free programs, optionally bounded in view switches.

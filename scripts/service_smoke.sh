@@ -8,16 +8,18 @@
 #      digests) for every benchmark;
 #   2. the second pass is answered ≥90% from the cache, measured by
 #      scraping ravbmc_cache_{hits,subsumed_hits}_total off /metrics;
-#   3. the ravbmc_serve_request_seconds and ravbmc_cache_lookup_seconds
+#   3. the six rows posted as one POST /v1/batch to the warm daemon
+#      come back with the sweep's verdicts and witness SHA-256s;
+#   4. the ravbmc_serve_request_seconds and ravbmc_cache_lookup_seconds
 #      histogram families are present on /metrics and were observed;
-#   4. the run ledger works end to end: /v1/runs lists the sweep's
+#   5. the run ledger works end to end: /v1/runs lists the sweep's
 #      runs, /v1/runs/{id} returns a record with a span tree, and the
 #      -run-log audit file is non-empty;
-#   5. the SSE event stream works both ways: a completed run's
+#   6. the SSE event stream works both ways: a completed run's
 #      /v1/runs/{id}/events replays ≥1 search frame and ends with a
 #      done frame, and a live in-flight run (addressed by its
 #      client_ref alias) streams ≥1 search frame mid-run;
-#   6. a SIGTERM delivered while a long verification is in flight
+#   7. a SIGTERM delivered while a long verification is in flight
 #      drains gracefully: the daemon exits 0 and logs "drained, bye".
 #
 # Usage:
@@ -104,6 +106,36 @@ fi
 echo "warm pass: $hits/$rows cache hits" >&2
 
 [ -s "$tmp/cache.jsonl" ] || { echo "FAIL: disk store is empty" >&2; exit 1; }
+
+# Batch: the same rows as one POST /v1/batch must reproduce the sweep's
+# verdict and witness SHA-256 row for row (items come back in index
+# order).
+sweep_rows | jq -Rs --argjson t "$req_timeout" '
+  {items: [split("\n")[] | select(length > 0) | split(" ") |
+    {bench: .[0], mode: "vbmc", k: (.[1] | tonumber),
+     unroll: (.[2] | tonumber), timeout_seconds: $t}]}' >"$tmp/batch.json"
+curl -fsS -X POST "$base/v1/batch" -H 'Content-Type: application/json' \
+  -d @"$tmp/batch.json" >"$tmp/batch.out"
+jq -e '.ok' "$tmp/batch.out" >/dev/null || {
+  echo "FAIL: batch not OK:" >&2; cat "$tmp/batch.out" >&2; exit 1; }
+: >"$tmp/batch.tsv"
+: >"$tmp/sweep_sha.tsv"
+i=0
+while IFS=$'\t' read -r bench verdict _ witness; do
+  sha=""
+  [ -n "$witness" ] && sha="$(base64 -d <<<"$witness" | sha256sum | cut -d' ' -f1)"
+  printf '%s\t%s\t%s\n' "$bench" "$verdict" "$sha" >>"$tmp/sweep_sha.tsv"
+  jq -r --arg b "$bench" --argjson i "$i" \
+    '.items[$i] | [$b, .verdict, (.witness_sha256 // "")] | @tsv' \
+    "$tmp/batch.out" >>"$tmp/batch.tsv"
+  i=$((i + 1))
+done <"$tmp/pass1.tsv"
+if ! cmp -s "$tmp/sweep_sha.tsv" "$tmp/batch.tsv"; then
+  echo "FAIL: /v1/batch disagrees with the vbmc -remote sweep:" >&2
+  diff "$tmp/sweep_sha.tsv" "$tmp/batch.tsv" >&2 || true
+  exit 1
+fi
+echo "batch OK: $rows items match the sweep's verdicts and witness hashes" >&2
 
 # Observability: the latency histogram families must exist on /metrics
 # with proper HELP/TYPE lines and a non-zero observation count.
